@@ -296,17 +296,7 @@ func execute(reg *campaign.Registry, cmd string, args []string) {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
 
-	plan := campaign.Plan{
-		Scenarios:   o.scenarios,
-		Overrides:   o.axes,
-		Reps:        o.reps,
-		Duration:    sim.Time(o.dur * float64(sim.Second)),
-		Warmup:      sim.Time(o.warmup * float64(sim.Second)),
-		BaseSeed:    o.seed,
-		Workers:     o.workers,
-		Fingerprint: o.fingerprint,
-		Context:     ctx,
-	}
+	plan := newPlan(ctx, &o, chaosPlan)
 
 	if !o.noCache {
 		dir := o.cacheDir
@@ -352,20 +342,6 @@ func execute(reg *campaign.Registry, cmd string, args []string) {
 		defer w.Close()
 		plan.Journal = chaosPlan.WrapJournal(w, w.Path())
 	}
-	if len(o.remotes) > 0 {
-		client := &wire.Client{
-			Workers:      o.remotes,
-			Fingerprint:  plan.Fingerprint, // Execute fills "" the same way
-			ShardSize:    o.shardSize,
-			Timeout:      o.reqTimeout,
-			StallTimeout: o.stallTO,
-		}
-		if chaosPlan != nil {
-			client.HTTP = &http.Client{Transport: chaosPlan.Transport(nil)}
-		}
-		plan.Dispatch = client
-	}
-
 	start := time.Now()
 	if !o.quiet {
 		plan.OnProgress = progressLine(start)
@@ -418,6 +394,50 @@ func execute(reg *campaign.Registry, cmd string, args []string) {
 			})
 		})
 	}
+}
+
+// newPlan builds the campaign plan the run/sweep flags describe, with
+// the shard client when -remote names workers; execute adds the cache,
+// journal and resume map. The code fingerprint is resolved once, before
+// either is built, so the plan's cache keys and the fingerprint the
+// client presents to workers are the same value.
+func newPlan(ctx context.Context, o *options, chaosPlan *chaos.Plan) campaign.Plan {
+	fp := resolveFingerprint(o.fingerprint)
+	plan := campaign.Plan{
+		Scenarios:   o.scenarios,
+		Overrides:   o.axes,
+		Reps:        o.reps,
+		Duration:    sim.Time(o.dur * float64(sim.Second)),
+		Warmup:      sim.Time(o.warmup * float64(sim.Second)),
+		BaseSeed:    o.seed,
+		Workers:     o.workers,
+		Fingerprint: fp,
+		Context:     ctx,
+	}
+	if len(o.remotes) > 0 {
+		client := &wire.Client{
+			Workers:      o.remotes,
+			Fingerprint:  fp,
+			ShardSize:    o.shardSize,
+			Timeout:      o.reqTimeout,
+			StallTimeout: o.stallTO,
+		}
+		if chaosPlan != nil {
+			client.HTTP = &http.Client{Transport: chaosPlan.Transport(nil)}
+		}
+		plan.Dispatch = client
+	}
+	return plan
+}
+
+// resolveFingerprint returns the -fingerprint flag's value, or this
+// build's code fingerprint when the flag is empty — the value serve
+// offers too, so client and worker builds of one commit agree.
+func resolveFingerprint(flag string) string {
+	if flag != "" {
+		return flag
+	}
+	return campaign.BuildFingerprint()
 }
 
 // checkScenarios rejects unknown -s names up front with a did-you-mean
@@ -482,10 +502,7 @@ func serve(reg *campaign.Registry, args []string) {
 		chaosPlan = p
 	}
 
-	fp := *fingerprint
-	if fp == "" {
-		fp = campaign.BuildFingerprint()
-	}
+	fp := resolveFingerprint(*fingerprint)
 	srv := &wire.Server{Registry: reg, Fingerprint: fp, Workers: *workers}
 	handler := chaosPlan.Middleware(srv.Handler())
 	fmt.Fprintf(os.Stderr, "campaign serve: listening on %s (fingerprint %s)\n", *listen, fp)

@@ -134,6 +134,43 @@ func TestSupersetReusesSharedCells(t *testing.T) {
 	}
 }
 
+// TestSupersetReuseFollowsPointIndex pins what the Plan.Cache comment
+// promises: seeds follow the grid-point index, so more reps and values
+// appended to the first axis reuse every earlier job, while appending
+// to the last axis reuses only the points whose first axis sits at its
+// first value.
+func TestSupersetReuseFollowsPointIndex(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		reps       int
+		scheme     []string
+		rate       []string
+		wantCached int
+	}{
+		{"more reps", 5, []string{"a", "b"}, []string{"10", "50"}, 4 * 3},
+		{"first axis", 3, []string{"a", "b", "c"}, []string{"10", "50"}, 4 * 3},
+		{"last axis", 3, []string{"a", "b"}, []string{"10", "50", "90"}, 2 * 3},
+	} {
+		store, _ := cache.Open(t.TempDir())
+		p := basePlan()
+		p.Cache = store
+		p.Overrides = map[string][]string{"scheme": {"a", "b"}, "rate": {"10", "50"}}
+		if _, err := synthetic(nil).Execute(p); err != nil {
+			t.Fatal(err)
+		}
+		p.Reps = tc.reps
+		p.Overrides = map[string][]string{"scheme": tc.scheme, "rate": tc.rate}
+		res, err := synthetic(nil).Execute(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.FromCache != tc.wantCached {
+			t.Errorf("%s: %d of %d runs from cache, want %d",
+				tc.name, res.Stats.FromCache, res.Runs, tc.wantCached)
+		}
+	}
+}
+
 // TestFingerprintInvalidation: results cached under one code
 // fingerprint are invisible to another.
 func TestFingerprintInvalidation(t *testing.T) {

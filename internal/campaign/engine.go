@@ -51,8 +51,14 @@ type Plan struct {
 
 	// Cache, if set, is the content-addressed result store: Execute
 	// consults it (under Fingerprint) before dispatching each job and
-	// writes completed results back, so repeated runs and sweep
-	// supersets only simulate cells never seen before.
+	// writes completed results back. A job hits when an earlier run had
+	// the same scenario, parameters, timing, repetition and seed. Seeds
+	// derive from the grid-point index (DeriveSeed), so a rerun of the
+	// same plan, or one with more Reps, reuses every earlier job, and
+	// appending values to the first axis keeps every earlier point.
+	// Appending to any later axis renumbers the grid: only points whose
+	// preceding axes sit at their first value keep their seeds and hit;
+	// the rest simulate afresh.
 	Cache BlobStore
 
 	// Journal, if set, receives every completed cell as it finishes —

@@ -33,7 +33,8 @@ type ScaleResult struct {
 
 // scaleSpecs builds the scaled population: station 0 is the 1 Mbps
 // legacy client, the last is ping-only, the rest are fast bulk stations.
-// Counts below 4 fall back to the paper's 30.
+// Counts below 4 fall back to the paper's 30 (RunScale's zero default;
+// SpecScale rejects them).
 func scaleSpecs(count int) []StationSpec {
 	if count < 4 {
 		count = 30
@@ -86,6 +87,11 @@ func SpecScale() *Spec {
 			count, err := p.Int("stations")
 			if err != nil {
 				return nil, err
+			}
+			if count < 4 {
+				// Fewer leaves no fast bulk station beside the slow,
+				// first-fast and ping-only roles.
+				return nil, fmt.Errorf("stations = %d, want at least 4", count)
 			}
 			cfg := ScaleConfig{Scheme: scheme, Stations: count}
 			return scaleInstance(cfg, scaleSpecs(count)), nil

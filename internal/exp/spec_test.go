@@ -181,6 +181,44 @@ func TestScenarioMetadata(t *testing.T) {
 	}
 }
 
+// TestSpecBuildRejectsOutOfRange: a parameter the scenario cannot
+// simulate as recorded is a Build error, not a silent default (scale
+// stations < 4 used to simulate 30) or a simulator panic (a negative
+// VoIP delay scheduled events in the past). An in-range value still
+// builds the world its parameters describe.
+func TestSpecBuildRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		spec     *Spec
+		params   Params
+		ok       bool
+		stations int // built world's station count when ok
+	}{
+		{SpecScale(), Params{"scheme": "Airtime", "stations": "0"}, false, 0},
+		{SpecScale(), Params{"scheme": "Airtime", "stations": "1"}, false, 0},
+		{SpecScale(), Params{"scheme": "Airtime", "stations": "3"}, false, 0},
+		{SpecScale(), Params{"scheme": "Airtime", "stations": "-2"}, false, 0},
+		{SpecScale(), Params{"scheme": "Airtime", "stations": "4"}, true, 4},
+		{SpecVoIP(), Params{"scheme": "FIFO", "qos": "BE", "delay-ms": "-1"}, false, 0},
+		{SpecVoIP(), Params{"scheme": "FIFO", "qos": "VO", "delay-ms": "-50"}, false, 0},
+		{SpecVoIP(), Params{"scheme": "FIFO", "qos": "BE", "delay-ms": "1"}, true, 4},
+	} {
+		inst, err := tc.spec.Build(tc.params)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("%s %v: Build accepted an out-of-range value", tc.spec.Name, tc.params)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s %v: %v", tc.spec.Name, tc.params, err)
+			continue
+		}
+		if got := len(inst.Net.stationNames()); got != tc.stations {
+			t.Errorf("%s %v: built %d stations, want %d", tc.spec.Name, tc.params, got, tc.stations)
+		}
+	}
+}
+
 // TestWorkloadTargets: the station selectors resolve as documented.
 func TestWorkloadTargets(t *testing.T) {
 	names := []string{"a", "b", "c", "d"}

@@ -72,6 +72,9 @@ func SpecVoIP() *Spec {
 			if err != nil {
 				return nil, err
 			}
+			if delay < 0 {
+				return nil, fmt.Errorf("delay-ms = %d, want >= 0", delay)
+			}
 			return voipInstance(VoIPConfig{
 				Scheme: scheme, UseVO: p.Str("qos") == "VO",
 				WiredDelay: sim.Time(delay) * sim.Millisecond,

@@ -2,9 +2,11 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/mac"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -165,5 +167,23 @@ func TestBSSBusyDeltas(t *testing.T) {
 		if s < 0.1 || s > 0.5 {
 			t.Errorf("BSS %d busy share = %.3f, want a real slice of the medium", b, s)
 		}
+	}
+}
+
+// BenchmarkBuildWorld times world construction alone — the dense
+// scenario's one-BSS Airtime topology at 1k and 8k stations, no traffic.
+// Linear construction keeps the 8k figure at about 9-11x the 1k one; CI's
+// construction-scaling gate bounds the ratio.
+func BenchmarkBuildWorld(b *testing.B) {
+	for _, n := range []int{1000, 8000} {
+		b.Run(fmt.Sprintf("stations=%d", n), func(b *testing.B) {
+			cfg := NetConfig{Scheme: mac.SchemeAirtimeFQ, BSSs: DenseTopology(n, 1)}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if w := BuildWorld(cfg); len(w.Stations) != n {
+					b.Fatalf("built %d stations, want %d", len(w.Stations), n)
+				}
+			}
+		})
 	}
 }

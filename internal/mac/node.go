@@ -143,6 +143,34 @@ func (c *Config) fill() {
 type Env struct {
 	Sim    *sim.Sim
 	Medium *Medium
+
+	// tabs interns the world's PHY duration tables, one per (rate,
+	// A-MPDU duration cap) pair its nodes transmit at, so thousands of
+	// stations share a handful of tables. A world runs on one goroutine,
+	// so the tables' FitBytes memo needs no locking; it must not be
+	// shared across worlds, which run in parallel. The cap is part of
+	// the key so nodes with different MaxAggrDur never thrash one memo.
+	tabs map[tabKey]*phy.Tab
+}
+
+type tabKey struct {
+	rate   phy.Rate
+	maxDur sim.Time
+}
+
+// tab returns the world's interned duration table for rate r under the
+// duration cap maxDur.
+func (e *Env) tab(r phy.Rate, maxDur sim.Time) *phy.Tab {
+	k := tabKey{r, maxDur}
+	if t, ok := e.tabs[k]; ok {
+		return t
+	}
+	if e.tabs == nil {
+		e.tabs = make(map[tabKey]*phy.Tab)
+	}
+	t := phy.NewTab(r)
+	e.tabs[k] = t
+	return t
 }
 
 // NewEnv creates an environment on the given simulator.
@@ -167,9 +195,13 @@ type Node struct {
 
 	// staLow/staSlice index stations by identifier offset for the
 	// per-packet route/receive lookups: one bounds check and a load
-	// instead of a map probe. Rebuilt on Add/RemoveStation; empty when
-	// the identifier range is too sparse (the map stays authoritative).
+	// instead of a map probe. staSlice[i] is the station with identifier
+	// staLow+i, or nil. staMin is the lowest identifier indexed since the
+	// window was last empty (staLow may sit below it, as headroom). The
+	// window is empty while the indexed identifiers span staSpan or more;
+	// the map stays authoritative and serves those lookups.
 	staLow   pkt.NodeID
+	staMin   pkt.NodeID
 	staSlice []*Station
 
 	rr    [pkt.NumACs][]*tidState
@@ -181,9 +213,6 @@ type Node struct {
 	// pool is the world's packet pool; the node releases packets it
 	// terminates (drops at enqueue, retry-limit drops, purges) into it.
 	pool *pkt.Pool
-	// tabs interns one phy.Tab per rate the node has transmitted at, so
-	// rate-control sampling does not rebuild duration tables.
-	tabs map[phy.Rate]*phy.Tab
 	// aggFree recycles Aggregate shells, and deliveredScratch is the
 	// reusable buffer txComplete collects successful MPDUs into.
 	aggFree          []*Aggregate
@@ -235,18 +264,9 @@ func NewNode(env *Env, id pkt.NodeID, name string, cfg Config) (*Node, error) {
 //hj17:hotpath
 func (n *Node) freePkt(p *pkt.Packet) { n.pool.Put(p) }
 
-// tabFor returns the node's interned duration table for rate r.
-func (n *Node) tabFor(r phy.Rate) *phy.Tab {
-	if t, ok := n.tabs[r]; ok {
-		return t
-	}
-	if n.tabs == nil {
-		n.tabs = make(map[phy.Rate]*phy.Tab)
-	}
-	t := phy.NewTab(r)
-	n.tabs[r] = t
-	return t
-}
+// tabFor returns the world's interned duration table for rate r under
+// the node's duration cap.
+func (n *Node) tabFor(r phy.Rate) *phy.Tab { return n.env.tab(r, n.cfg.MaxAggrDur) }
 
 // getAggregate pops a recycled aggregate shell or allocates a fresh one.
 func (n *Node) getAggregate() *Aggregate {
@@ -323,9 +343,9 @@ func (n *Node) AddStation(peer *Node, rate phy.Rate) *Station {
 		}
 	}
 	s.updateCodelParams(n.env.Sim.Now())
+	n.indexStation(s)
 	n.stations[peer.ID] = s
 	n.stationOrder = append(n.stationOrder, s)
-	n.rebuildStationIndex()
 	if n.defaultPeer == nil {
 		n.defaultPeer = s
 	}
@@ -378,13 +398,15 @@ func (n *Node) RemoveStation(s *Station) {
 		return
 	}
 	delete(n.stations, s.Peer.ID)
+	if d := int(s.Peer.ID - n.staLow); d >= 0 && d < len(n.staSlice) {
+		n.staSlice[d] = nil
+	}
 	for i, st := range n.stationOrder {
 		if st == s {
 			n.stationOrder = append(n.stationOrder[:i], n.stationOrder[i+1:]...)
 			break
 		}
 	}
-	n.rebuildStationIndex()
 	if n.defaultPeer == s {
 		n.defaultPeer = nil
 		if len(n.stationOrder) > 0 {
@@ -414,38 +436,52 @@ func (n *Node) RemoveStation(s *Station) {
 	}
 }
 
-// rebuildStationIndex refreshes the dense lookup slice. Station
-// identifiers cluster inside one BSS window, so the span is small; a
-// pathological spread falls back to the map.
-func (n *Node) rebuildStationIndex() {
-	n.staSlice = n.staSlice[:0]
-	if len(n.stationOrder) == 0 {
-		n.staLow = 0
+// staSpan bounds the dense station index: once the indexed identifiers
+// span this many values, lookups fall back to the map. Station
+// identifiers cluster inside one BSS window, so only a pathological
+// spread reaches it.
+const staSpan = 1 << 16
+
+// indexStation enters s into the dense lookup window in amortised O(1):
+// identifiers above the window append to it, identifiers below it
+// reallocate with at least the window's length as headroom, so
+// ascending, descending and mixed registration orders all stay linear.
+// It must run before s joins n.stations. A span of staSpan or more
+// drops the window and leaves lookups to the map until the node has no
+// stations again.
+func (n *Node) indexStation(s *Station) {
+	id := s.Peer.ID
+	if len(n.stations) == 0 {
+		n.staLow, n.staMin = id, id
+		n.staSlice = append(n.staSlice[:0], s)
 		return
 	}
-	lo, hi := n.stationOrder[0].Peer.ID, n.stationOrder[0].Peer.ID
-	for _, s := range n.stationOrder[1:] {
-		if id := s.Peer.ID; id < lo {
-			lo = id
-		} else if id > hi {
-			hi = id
-		}
+	if len(n.staSlice) == 0 {
+		return // too sparse: the map serves lookups
 	}
-	if hi-lo >= 1<<16 {
-		n.staLow = 0
+	top := n.staLow + pkt.NodeID(len(n.staSlice)) - 1
+	lo, hi := min(n.staMin, id), max(top, id)
+	if hi-lo >= staSpan {
+		n.staSlice = nil
 		return
 	}
-	n.staLow = lo
-	for len(n.staSlice) <= int(hi-lo) {
+	for top < id {
 		n.staSlice = append(n.staSlice, nil)
+		top++
 	}
-	for _, s := range n.stationOrder {
-		n.staSlice[s.Peer.ID-lo] = s
+	if id < n.staLow {
+		grow := max(n.staLow-id, pkt.NodeID(len(n.staSlice)))
+		base := max(n.staLow-grow, hi-(staSpan-1))
+		buf := make([]*Station, hi-base+1)
+		copy(buf[n.staLow-base:], n.staSlice)
+		n.staLow, n.staSlice = base, buf
 	}
+	n.staMin = lo
+	n.staSlice[id-n.staLow] = s
 }
 
 // lookupStation returns the peer entry for id, or nil. When the dense
-// index is built it covers every station, so a miss there is a miss.
+// index exists it covers every station, so a miss there is a miss.
 func (n *Node) lookupStation(id pkt.NodeID) *Station {
 	if d := int(id - n.staLow); d >= 0 && d < len(n.staSlice) {
 		return n.staSlice[d]
