@@ -30,11 +30,16 @@ const (
 )
 
 // Station is the scheduler's per-station, per-access-category state. The
-// MAC embeds one Station per (station, AC) pair and supplies Backlogged.
+// MAC embeds one Station per (station, AC) pair and supplies Backlog.
 type Station struct {
-	// Backlogged reports whether the station has packets queued on this
+	// Backlog reports whether the station has packets queued on this
 	// access category. Set once at registration.
-	Backlogged func() bool
+	Backlog interface{ Backlogged() bool }
+
+	// Owner is opaque registrar data the scheduler never reads. The sched
+	// adapter keeps the station's Entry here, so a pick maps back to its
+	// entry without a lookup.
+	Owner any
 
 	// Weight scales the deficit replenished per round: a station with
 	// weight 2 earns twice the airtime share of a weight-1 station. Zero
@@ -167,7 +172,7 @@ func (sc *Scheduler) Next() *Station {
 			sc.oldL.pushTail(st, listOld)
 			continue
 		}
-		if !st.Backlogged() {
+		if !st.Backlog.Backlogged() {
 			if fromNew {
 				// Anti-gaming rule: an emptying sparse station moves to
 				// the old list rather than leaving the scheduler, so it

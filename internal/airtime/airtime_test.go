@@ -6,15 +6,17 @@ import (
 	"repro/internal/sim"
 )
 
-// always returns a Backlogged func with a switchable flag.
+// fakeSta is a station whose backlog is a switchable flag.
 type fakeSta struct {
 	Station
 	has bool
 }
 
+func (f *fakeSta) Backlogged() bool { return f.has }
+
 func newSta(sc *Scheduler) *fakeSta {
 	f := &fakeSta{has: true}
-	f.Backlogged = func() bool { return f.has }
+	f.Backlog = f
 	sc.Activate(&f.Station)
 	return f
 }

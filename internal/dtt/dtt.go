@@ -19,12 +19,21 @@ import "repro/internal/sim"
 // DefaultQuantum is the per-round token replenishment.
 const DefaultQuantum = 300 * sim.Microsecond
 
-// Entry is the per-station token state.
+// Entry is the per-station token state. The consumer allocates it,
+// supplies Backlog, and enters it into the rotation with Activate.
 type Entry struct {
-	backlogged func() bool
-	credit     sim.Time
-	active     bool
-	next       *Entry
+	// Backlog reports whether the station has packets queued. Set once
+	// before the first Activate.
+	Backlog interface{ Backlogged() bool }
+
+	// Owner is opaque consumer data the scheduler never reads. The sched
+	// adapter keeps the station's Entry here, so a pick maps back to its
+	// entry without a lookup.
+	Owner any
+
+	credit sim.Time
+	active bool
+	next   *Entry
 
 	// Charged accumulates the wall-clock transmission time billed.
 	Charged sim.Time
@@ -40,7 +49,6 @@ type Scheduler struct {
 	Quantum sim.Time
 
 	head, tail *Entry // circular service list (singly linked, head = next)
-	entries    []*Entry
 }
 
 // New returns a scheduler with the default quantum.
@@ -51,13 +59,6 @@ func (s *Scheduler) quantum() sim.Time {
 		return s.Quantum
 	}
 	return DefaultQuantum
-}
-
-// Register adds a station with its backlog probe.
-func (s *Scheduler) Register(backlogged func() bool) *Entry {
-	e := &Entry{backlogged: backlogged}
-	s.entries = append(s.entries, e)
-	return e
 }
 
 // Activate marks e as backlogged. Entries joining the rotation start with
@@ -119,7 +120,7 @@ func (s *Scheduler) Next() *Entry {
 			if e == nil {
 				return nil
 			}
-			if !e.backlogged() {
+			if !e.Backlog.Backlogged() {
 				e.active = false
 				continue
 			}

@@ -11,9 +11,11 @@ type sta struct {
 	has bool
 }
 
+func (st *sta) Backlogged() bool { return st.has }
+
 func add(s *Scheduler) *sta {
 	st := &sta{has: true}
-	st.e = s.Register(func() bool { return st.has })
+	st.e = &Entry{Backlog: st}
 	s.Activate(st.e)
 	return st
 }

@@ -183,9 +183,10 @@ func TestScenarioMetadata(t *testing.T) {
 
 // TestSpecBuildRejectsOutOfRange: a parameter the scenario cannot
 // simulate as recorded is a Build error, not a silent default (scale
-// stations < 4 used to simulate 30) or a simulator panic (a negative
-// VoIP delay scheduled events in the past). An in-range value still
-// builds the world its parameters describe.
+// stations < 4 used to simulate 30, VoIP delay-ms 0 simulated 1 ms) or
+// a simulator panic (a negative VoIP delay scheduled events in the
+// past). An in-range value still builds the world its parameters
+// describe.
 func TestSpecBuildRejectsOutOfRange(t *testing.T) {
 	for _, tc := range []struct {
 		spec     *Spec
@@ -200,6 +201,7 @@ func TestSpecBuildRejectsOutOfRange(t *testing.T) {
 		{SpecScale(), Params{"scheme": "Airtime", "stations": "4"}, true, 4},
 		{SpecVoIP(), Params{"scheme": "FIFO", "qos": "BE", "delay-ms": "-1"}, false, 0},
 		{SpecVoIP(), Params{"scheme": "FIFO", "qos": "VO", "delay-ms": "-50"}, false, 0},
+		{SpecVoIP(), Params{"scheme": "FIFO", "qos": "BE", "delay-ms": "0"}, false, 0},
 		{SpecVoIP(), Params{"scheme": "FIFO", "qos": "BE", "delay-ms": "1"}, true, 4},
 	} {
 		inst, err := tc.spec.Build(tc.params)

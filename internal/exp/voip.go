@@ -72,8 +72,10 @@ func SpecVoIP() *Spec {
 			if err != nil {
 				return nil, err
 			}
-			if delay < 0 {
-				return nil, fmt.Errorf("delay-ms = %d, want >= 0", delay)
+			// BuildWorld reads a zero WiredDelay as its 1 ms default, so
+			// 0 would record one delay and simulate another.
+			if delay < 1 {
+				return nil, fmt.Errorf("delay-ms = %d, want >= 1", delay)
 			}
 			return voipInstance(VoIPConfig{
 				Scheme: scheme, UseVO: p.Str("qos") == "VO",

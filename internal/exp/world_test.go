@@ -170,6 +170,27 @@ func TestBSSBusyDeltas(t *testing.T) {
 	}
 }
 
+// TestBuildWorldAllocBudget bounds the heap objects world construction
+// makes per station. Station state keeps its per-AC TID state, driver
+// FIFOs and scheduler entries in a few allocations (see DESIGN.md,
+// "World-scoped construction state"): about 23 per station under
+// Airtime and 19 under FQ-CoDel with Go 1.24. The budget sits below the
+// 30 CI's construction gate allows so that one stray allocation per TID
+// (four per station, such as a backlog closure per scheduler entry)
+// fails here, while leaving room for toolchain drift in map and slice
+// allocation.
+func TestBuildWorldAllocBudget(t *testing.T) {
+	const stations, budget = 1000, 26
+	for _, scheme := range []mac.Scheme{mac.SchemeAirtimeFQ, mac.SchemeFQCoDel} {
+		cfg := NetConfig{Scheme: scheme, BSSs: DenseTopology(stations, 1)}
+		allocs := testing.AllocsPerRun(3, func() { BuildWorld(cfg) })
+		if per := allocs / stations; per > budget {
+			t.Errorf("%v: %.1f allocations per station building a %d-station world, budget %d",
+				scheme, per, stations, budget)
+		}
+	}
+}
+
 // BenchmarkBuildWorld times world construction alone — the dense
 // scenario's one-BSS Airtime topology at 1k and 8k stations, no traffic.
 // Linear construction keeps the 8k figure at about 9-11x the 1k one; CI's

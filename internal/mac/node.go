@@ -189,6 +189,8 @@ type Node struct {
 	queue TxQueueing                         // the scheme's queue substrate
 	sched [pkt.NumACs]sched.StationScheduler // nil for the unscheduled schemes
 
+	// stations is allocated by the first AddStation, reorder by the
+	// first reception, so nodes pay for neither until they need it.
 	stations     map[pkt.NodeID]*Station
 	stationOrder []*Station
 	defaultPeer  *Station
@@ -204,10 +206,11 @@ type Node struct {
 	staMin   pkt.NodeID
 	staSlice []*Station
 
-	rr    [pkt.NumACs][]*tidState
+	// rrIdx is each AC's round-robin position in stationOrder, for the
+	// unscheduled schemes.
 	rrIdx [pkt.NumACs]int
 
-	txqs    [pkt.NumACs]*txq
+	txqs    [pkt.NumACs]txq
 	reorder map[reorderKey]*reorderState
 
 	// pool is the world's packet pool; the node releases packets it
@@ -241,12 +244,9 @@ func NewNode(env *Env, id pkt.NodeID, name string, cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("mac: unknown scheme %v (registered: %s)",
 			cfg.Scheme, strings.Join(sortedSchemeNames(), ", "))
 	}
-	n := &Node{ID: id, Name: name, env: env, cfg: cfg,
-		stations: make(map[pkt.NodeID]*Station),
-		reorder:  make(map[reorderKey]*reorderState),
-		pool:     pkt.PoolOf(env.Sim)}
-	for ac := 0; ac < pkt.NumACs; ac++ {
-		n.txqs[ac] = &txq{node: n, ac: pkt.AC(ac), par: EDCA(pkt.AC(ac)), bss: cfg.BSS}
+	n := &Node{ID: id, Name: name, env: env, cfg: cfg, pool: pkt.PoolOf(env.Sim)}
+	for ac := range n.txqs {
+		n.txqs[ac] = txq{node: n, ac: pkt.AC(ac), par: EDCA(pkt.AC(ac)), bss: cfg.BSS}
 		n.txqs[ac].resetCW()
 	}
 	n.queue = info.comp.Queueing(n)
@@ -331,19 +331,20 @@ func (n *Node) AddStation(peer *Node, rate phy.Rate) *Station {
 		panic(fmt.Sprintf("mac: duplicate station %v", peer.ID))
 	}
 	s := &Station{Peer: peer, Rate: rate, owner: n, tab: n.tabFor(rate)}
-	for ac := 0; ac < pkt.NumACs; ac++ {
-		t := &tidState{sta: s, ac: pkt.AC(ac)}
+	for ac := range s.tids {
+		t := &s.tids[ac]
+		t.sta, t.ac = s, pkt.AC(ac)
 		t.q = n.queue.NewTID(pkt.AC(ac))
-		s.tids[ac] = t
-		n.rr[ac] = append(n.rr[ac], t)
 		if sc := n.sched[ac]; sc != nil {
-			tt := t
-			t.schedEntry = sc.Register(func() bool { return tt.backlogged() })
+			t.schedEntry = sc.Register(t)
 			t.schedEntry.User = s
 		}
 	}
 	s.updateCodelParams(n.env.Sim.Now())
 	n.indexStation(s)
+	if n.stations == nil {
+		n.stations = make(map[pkt.NodeID]*Station)
+	}
 	n.stations[peer.ID] = s
 	n.stationOrder = append(n.stationOrder, s)
 	if n.defaultPeer == nil {
@@ -391,19 +392,33 @@ func (n *Node) EnableAutoRate(s *Station, ch *channel.Model, startMCS int) *mins
 }
 
 // RemoveStation disassociates a peer: every queued packet for it is
-// purged, its scheduler state retires naturally (its backlog probe goes
-// false) and subsequent packets routed to it are dropped.
+// purged, its scheduler state retires naturally (its TIDs report no
+// backlog again, since MPDUs of an aggregate already in flight that
+// fail are released rather than retried) and subsequent packets routed
+// to it are dropped.
 func (n *Node) RemoveStation(s *Station) {
 	if n.stations[s.Peer.ID] != s {
 		return
 	}
 	delete(n.stations, s.Peer.ID)
+	s.removed = true
 	if d := int(s.Peer.ID - n.staLow); d >= 0 && d < len(n.staSlice) {
 		n.staSlice[d] = nil
 	}
 	for i, st := range n.stationOrder {
 		if st == s {
 			n.stationOrder = append(n.stationOrder[:i], n.stationOrder[i+1:]...)
+			// Keep each AC's round-robin position on the same successor.
+			for ac := range n.rrIdx {
+				if n.rrIdx[ac] > i {
+					n.rrIdx[ac]--
+				}
+				if len(n.stationOrder) > 0 {
+					n.rrIdx[ac] %= len(n.stationOrder)
+				} else {
+					n.rrIdx[ac] = 0
+				}
+			}
 			break
 		}
 	}
@@ -413,24 +428,9 @@ func (n *Node) RemoveStation(s *Station) {
 			n.defaultPeer = n.stationOrder[0]
 		}
 	}
-	for ac := 0; ac < pkt.NumACs; ac++ {
-		t := s.tids[ac]
-		// Remove from the round-robin service list.
-		for i, rr := range n.rr[ac] {
-			if rr == t {
-				n.rr[ac] = append(n.rr[ac][:i], n.rr[ac][i+1:]...)
-				if n.rrIdx[ac] > i {
-					n.rrIdx[ac]--
-				}
-				if len(n.rr[ac]) > 0 {
-					n.rrIdx[ac] %= len(n.rr[ac])
-				} else {
-					n.rrIdx[ac] = 0
-				}
-				break
-			}
-		}
-		// Drop everything queued for the station.
+	// Drop everything queued for the station.
+	for ac := range s.tids {
+		t := &s.tids[ac]
 		t.retryq.Drain(n.freePkt)
 		t.q.Purge()
 	}
@@ -516,7 +516,7 @@ func (n *Node) Input(p *pkt.Packet) {
 	n.trace(trace.Enqueue, p.Dst, p.AC, p.Size, "")
 	ac := p.AC
 	p.TID = int(ac)
-	tid := sta.tids[ac]
+	tid := &sta.tids[ac]
 	now := n.env.Sim.Now()
 
 	n.queue.Enqueue(tid.q, p, now)
@@ -531,7 +531,7 @@ func (n *Node) Input(p *pkt.Packet) {
 // entry point of Algorithm 3, also used (with round-robin TID selection)
 // by the baseline schemes.
 func (n *Node) schedule(ac pkt.AC) {
-	q := n.txqs[ac]
+	q := &n.txqs[ac]
 	for len(q.hwq) < n.cfg.HWQueueDepth {
 		agg := n.nextAggregate(ac)
 		if agg == nil {
@@ -558,17 +558,17 @@ func (n *Node) nextAggregate(ac pkt.AC) *Aggregate {
 				panic(fmt.Sprintf("mac: scheme %v scheduler returned an entry with no station owner; "+
 					"StationScheduler.Next must return entries obtained from Register", n.cfg.Scheme))
 			}
-			if agg := n.buildAggregate(sta.tids[ac]); agg != nil {
+			if agg := n.buildAggregate(&sta.tids[ac]); agg != nil {
 				return agg
 			}
 		}
 	}
 	n.queue.Refill(ac)
-	lst := n.rr[ac]
+	lst := n.stationOrder
 	for i := 0; i < len(lst); i++ {
 		idx := (n.rrIdx[ac] + i) % len(lst)
-		t := lst[idx]
-		if !t.backlogged() {
+		t := &lst[idx].tids[ac]
+		if !t.Backlogged() {
 			continue
 		}
 		n.rrIdx[ac] = (idx + 1) % len(lst)
@@ -678,7 +678,7 @@ func (n *Node) txComplete(q *txq, agg *Aggregate, collided bool, occupied sim.Ti
 			}
 		}
 		tid, totalDur := agg.TID, agg.TotalDur
-		if sc := n.sched[q.ac]; sc != nil && tid.backlogged() {
+		if sc := n.sched[q.ac]; sc != nil && tid.Backlogged() {
 			sc.Activate(tid.schedEntry)
 		}
 		if len(agg.Pkts) > 0 {
@@ -713,6 +713,10 @@ func (n *Node) txComplete(q *txq, agg *Aggregate, collided bool, occupied sim.Ti
 				n.freePkt(p)
 				continue
 			}
+			if sta.removed {
+				n.freePkt(p)
+				continue
+			}
 			agg.TID.retryq.Push(p)
 		}
 	}
@@ -730,7 +734,7 @@ func (n *Node) txComplete(q *txq, agg *Aggregate, collided bool, occupied sim.Ti
 	}
 	tid, totalDur := agg.TID, agg.TotalDur
 	n.putAggregate(agg)
-	if sc := n.sched[q.ac]; sc != nil && tid.backlogged() {
+	if sc := n.sched[q.ac]; sc != nil && tid.Backlogged() {
 		sc.Activate(tid.schedEntry)
 	}
 
@@ -778,13 +782,11 @@ func (n *Node) QueuedPackets() int {
 	total := 0
 	for ac := 0; ac < pkt.NumACs; ac++ {
 		total += n.queue.UpperLen(pkt.AC(ac))
-		for _, t := range n.rr[ac] {
-			total += t.retryq.Len() + t.q.Len()
+		for _, s := range n.stationOrder {
+			total += s.tids[ac].queuedPackets()
 		}
-		if q := n.txqs[ac]; q != nil {
-			for _, agg := range q.hwq {
-				total += len(agg.Pkts)
-			}
+		for _, agg := range n.txqs[ac].hwq {
+			total += len(agg.Pkts)
 		}
 	}
 	return total

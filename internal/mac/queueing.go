@@ -69,6 +69,13 @@ type qdiscQueueing struct {
 	driverLen int  // packets held in driver buf_q across all TIDs
 	hooked    bool // the qdiscs release dropped packets themselves
 	refilling bool // guards the cross-AC refill against recursion
+
+	// pfifos backs qdiscs under the PFIFO substrate, and firstTIDs are
+	// the driver FIFOs of the first TID created per AC. A client node
+	// has exactly one peer, so its whole transmit path is this one
+	// allocation; later peers' FIFOs are allocated by NewTID.
+	pfifos    [pkt.NumACs]qdisc.PFIFO
+	firstTIDs [pkt.NumACs]fifoTIDQueue
 }
 
 // NewFIFOQueueing returns the unmodified-stack substrate: a PFIFO qdisc
@@ -76,7 +83,8 @@ type qdiscQueueing struct {
 func NewFIFOQueueing(n *Node) TxQueueing {
 	s := &qdiscQueueing{n: n}
 	for ac := range s.qdiscs {
-		s.qdiscs[ac] = qdisc.NewPFIFO(n.cfg.QdiscLimit)
+		s.pfifos[ac].SetLimit(n.cfg.QdiscLimit)
+		s.qdiscs[ac] = &s.pfifos[ac]
 	}
 	return s
 }
@@ -102,7 +110,13 @@ type fifoTIDQueue struct {
 	bufq pkt.Queue
 }
 
-func (s *qdiscQueueing) NewTID(pkt.AC) TIDQueue { return &fifoTIDQueue{s: s} }
+func (s *qdiscQueueing) NewTID(ac pkt.AC) TIDQueue {
+	if q := &s.firstTIDs[ac]; q.s == nil {
+		q.s = s
+		return q
+	}
+	return &fifoTIDQueue{s: s}
+}
 
 //hj17:hotpath
 func (s *qdiscQueueing) Enqueue(_ TIDQueue, p *pkt.Packet, _ sim.Time) {
@@ -200,7 +214,8 @@ type integratedQueueing struct {
 
 // NewIntegratedQueueing returns the integrated per-TID FQ-CoDel
 // substrate of §3.1. Dropped packets are released through the
-// structure's drop hook.
+// structure's drop hook. Its TID queues are the structure's own
+// mactid.TID views.
 func NewIntegratedQueueing(n *Node) TxQueueing {
 	return &integratedQueueing{
 		n: n,
@@ -211,21 +226,13 @@ func NewIntegratedQueueing(n *Node) TxQueueing {
 	}
 }
 
-// fqTIDQueue is one TID's view onto the shared structure.
-type fqTIDQueue struct {
-	s   *integratedQueueing
-	tid *mactid.TID
-}
-
-func (s *integratedQueueing) NewTID(pkt.AC) TIDQueue {
-	return &fqTIDQueue{s: s, tid: s.fq.NewTID()}
-}
+func (s *integratedQueueing) NewTID(pkt.AC) TIDQueue { return s.fq.NewTID() }
 
 //hj17:hotpath
 func (s *integratedQueueing) Enqueue(q TIDQueue, p *pkt.Packet, now sim.Time) {
 	dst, ac := p.Dst, p.AC // p may be dropped (and released) below
 	before := s.fq.Drops()
-	q.(*fqTIDQueue).tid.Enqueue(p, now)
+	q.(*mactid.TID).Enqueue(p, now)
 	if d := s.fq.Drops() - before; d > 0 {
 		s.n.DropInput(dst, ac, d, "fq-overlimit", d)
 	}
@@ -234,13 +241,3 @@ func (s *integratedQueueing) Enqueue(q TIDQueue, p *pkt.Packet, now sim.Time) {
 func (s *integratedQueueing) Refill(pkt.AC) {}
 
 func (s *integratedQueueing) UpperLen(pkt.AC) int { return 0 }
-
-func (q *fqTIDQueue) Backlogged() bool { return q.tid.Backlogged() }
-
-func (q *fqTIDQueue) Len() int { return q.tid.Len() }
-
-func (q *fqTIDQueue) Pop(now sim.Time, pa codel.Params) *pkt.Packet {
-	return q.tid.Dequeue(now, pa)
-}
-
-func (q *fqTIDQueue) Purge() { q.tid.Purge() }

@@ -37,6 +37,9 @@ func (n *Node) reorderDeliver(key reorderKey, pkts []*pkt.Packet) {
 	rs := n.reorder[key]
 	if rs == nil {
 		rs = &reorderState{buf: make(map[int]*pkt.Packet), holeSeq: -1}
+		if n.reorder == nil {
+			n.reorder = make(map[reorderKey]*reorderState)
+		}
 		n.reorder[key] = rs
 	}
 	for _, p := range pkts {

@@ -26,7 +26,11 @@ type Station struct {
 	RC      *minstrel.Controller
 
 	owner *Node
-	tids  [pkt.NumACs]*tidState
+	// removed is set by RemoveStation; see there.
+	removed bool
+	// tids holds the per-AC transmit state by value: one allocation per
+	// station instead of one per (station, AC) pair.
+	tids [pkt.NumACs]tidState
 
 	// tab caches the duration constants of Rate (phy.Tab); kept in sync
 	// by AddStation/SetRate so the aggregation hot path reads tables
@@ -139,9 +143,10 @@ type tidState struct {
 	txSeq int
 }
 
-// backlogged reports whether the TID can contribute packets to an
-// aggregate right now.
-func (t *tidState) backlogged() bool {
+// Backlogged reports whether the TID can contribute packets to an
+// aggregate right now. It is the TID's backlog source for the station
+// scheduler (sched.Backlog).
+func (t *tidState) Backlogged() bool {
 	return !t.retryq.Empty() || t.q.Backlogged()
 }
 

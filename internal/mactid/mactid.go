@@ -125,9 +125,11 @@ func (l *queueList) remove(q *queue) {
 // Fq is the interface-wide shared queueing structure. All TIDs of all
 // stations on one interface share a single Fq.
 type Fq struct {
-	cfg      Config
-	flows    []queue
-	overflow []*queue // TID overflow queues, registered as TIDs are created
+	cfg   Config
+	flows []queue
+	// ntids counts the TIDs created; it numbers their overflow queues'
+	// scan positions after the hash queues, in creation order.
+	ntids int
 	// occupied is a binary max-heap of the queues currently holding
 	// bytes, ordered by (bytes desc, idx asc) — a total order, so the
 	// root is exactly the queue a full first-longest-wins scan would
@@ -151,6 +153,12 @@ type Fq struct {
 	overDrops  int
 	collisions int // packets routed to an overflow queue
 	sparseHits int
+
+	// codelDrop is codelDropped as the CoDel drop callback, bound once
+	// in New so Pop allocates no closure per call. popping is the TID
+	// whose Pop is running, which the drop is charged to.
+	codelDrop func(*pkt.Packet)
+	popping   *TID
 }
 
 // New creates the shared structure.
@@ -171,6 +179,7 @@ func New(cfg Config) *Fq {
 		fq.flows[i].idx = i
 		fq.flows[i].occPos = -1
 	}
+	fq.codelDrop = fq.codelDropped
 	return fq
 }
 
@@ -196,14 +205,8 @@ func (fq *Fq) SparseDequeues() int { return fq.sparseHits }
 // one per (station, traffic identifier).
 func (fq *Fq) NewTID() *TID {
 	t := &TID{fq: fq}
-	t.overflowQ = &queue{idx: len(fq.flows) + len(fq.overflow), occPos: -1}
-	fq.overflow = append(fq.overflow, t.overflowQ)
-	t.codelDrop = func(dp *pkt.Packet) {
-		fq.len--
-		t.len--
-		fq.codelDrops++
-		fq.drop(dp)
-	}
+	t.overflowQ = queue{idx: len(fq.flows) + fq.ntids, occPos: -1}
+	fq.ntids++
 	return t
 }
 
@@ -215,6 +218,18 @@ func (fq *Fq) NewTID() *TID {
 func (fq *Fq) drop(p *pkt.Packet) {
 	fq.drops++
 	fq.cfg.DropHook(p)
+}
+
+// codelDropped takes ownership of a packet the CoDel control law dropped
+// from a queue of the TID whose Pop is running.
+//
+//hj17:owns
+//hj17:hotpath
+func (fq *Fq) codelDropped(p *pkt.Packet) {
+	fq.len--
+	fq.popping.len--
+	fq.codelDrops++
+	fq.drop(p)
 }
 
 // occAbove reports whether a outranks b in the occupied heap: more
@@ -352,15 +367,14 @@ func (fq *Fq) dropFromLongest() *pkt.Packet {
 }
 
 // TID is the per-traffic-identifier view: the new/old scheduling lists and
-// the overflow queue (Algorithm 1 line 7).
+// the overflow queue (Algorithm 1 line 7), held in the TID's own
+// allocation. It is the MAC's per-TID queue (mac.TIDQueue) under the
+// integrated substrate.
 type TID struct {
 	fq         *Fq
 	newQ, oldQ queueList
-	overflowQ  *queue
+	overflowQ  queue
 	len        int
-	// codelDrop is the CoDel drop callback, built once in NewTID so
-	// Dequeue does not allocate a closure per call.
-	codelDrop func(*pkt.Packet)
 }
 
 // Len reports packets queued for this TID.
@@ -385,7 +399,7 @@ func (t *TID) Enqueue(p *pkt.Packet, now sim.Time) bool {
 		q = &fq.flows[p.FlowKey()%uint64(len(fq.flows))]
 	}
 	if q.tid != nil && q.tid != t {
-		q = t.overflowQ
+		q = &t.overflowQ
 		fq.collisions++
 	}
 	q.tid = t
@@ -410,11 +424,11 @@ func (t *TID) Enqueue(p *pkt.Packet, now sim.Time) bool {
 	return accepted
 }
 
-// Dequeue implements Algorithm 2, pulling the next packet for this TID
+// Pop implements Algorithm 2, pulling the next packet for this TID
 // under the supplied CoDel parameters (per-station, per §3.1.1).
 //
 //hj17:hotpath
-func (t *TID) Dequeue(now sim.Time, pa codel.Params) *pkt.Packet {
+func (t *TID) Pop(now sim.Time, pa codel.Params) *pkt.Packet {
 	fq := t.fq
 	for {
 		var q *queue
@@ -437,7 +451,8 @@ func (t *TID) Dequeue(now sim.Time, pa codel.Params) *pkt.Packet {
 			t.oldQ.pushTail(q, listOld)
 			continue
 		}
-		p := q.cv.Dequeue(&q.q, pa, now, t.codelDrop)
+		fq.popping = t
+		p := q.cv.Dequeue(&q.q, pa, now, fq.codelDrop)
 		fq.occDefer(q)
 		if p == nil {
 			if fromNew {
@@ -447,7 +462,7 @@ func (t *TID) Dequeue(now sim.Time, pa codel.Params) *pkt.Packet {
 				t.oldQ.popHead()
 				// Queue empty and leaving the scheduler: release the TID
 				// binding (Algorithm 2 line 18).
-				if q != t.overflowQ {
+				if q != &t.overflowQ {
 					q.tid = nil
 				}
 			}
@@ -466,7 +481,7 @@ func (t *TID) Dequeue(now sim.Time, pa codel.Params) *pkt.Packet {
 // Purge drops every packet queued for this TID (station departure).
 func (t *TID) Purge() {
 	for t.len > 0 {
-		p := t.Dequeue(sim.Time(1<<62), codel.Params{Target: 1 << 62, Interval: 1 << 62})
+		p := t.Pop(sim.Time(1<<62), codel.Params{Target: 1 << 62, Interval: 1 << 62})
 		if p == nil {
 			break
 		}

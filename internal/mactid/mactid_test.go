@@ -22,13 +22,13 @@ func TestPerTIDIsolation(t *testing.T) {
 	b := mkp(2, 100)
 	t1.Enqueue(a, 0)
 	t2.Enqueue(b, 0)
-	if got := t1.Dequeue(0, pa()); got != a {
+	if got := t1.Pop(0, pa()); got != a {
 		t.Fatalf("TID1 dequeued %+v", got)
 	}
-	if got := t2.Dequeue(0, pa()); got != b {
+	if got := t2.Pop(0, pa()); got != b {
 		t.Fatalf("TID2 dequeued %+v", got)
 	}
-	if t1.Dequeue(0, pa()) != nil || t2.Dequeue(0, pa()) != nil {
+	if t1.Pop(0, pa()) != nil || t2.Pop(0, pa()) != nil {
 		t.Fatal("TIDs not empty")
 	}
 }
@@ -42,7 +42,7 @@ func TestFlowOrderWithinTID(t *testing.T) {
 		tid.Enqueue(p, 0)
 	}
 	for i := 0; i < 20; i++ {
-		p := tid.Dequeue(0, pa())
+		p := tid.Pop(0, pa())
 		if p == nil || p.SeqNo != int64(i) {
 			t.Fatalf("order violated at %d", i)
 		}
@@ -63,10 +63,10 @@ func TestHashCollisionGoesToOverflow(t *testing.T) {
 	if fq.HashCollisions() != 1 {
 		t.Fatalf("collisions = %d, want 1", fq.HashCollisions())
 	}
-	if got := t2.Dequeue(0, pa()); got != b {
+	if got := t2.Pop(0, pa()); got != b {
 		t.Fatalf("TID2 did not recover its packet from overflow: %+v", got)
 	}
-	if got := t1.Dequeue(0, pa()); got != a {
+	if got := t1.Pop(0, pa()); got != a {
 		t.Fatalf("TID1 lost its packet: %+v", got)
 	}
 }
@@ -80,10 +80,10 @@ func TestTIDBindingReleased(t *testing.T) {
 	t1.Enqueue(mkp(1, 100), 0)
 	// Drain: first dequeue serves from the new list; the queue then
 	// rotates to the old list and is released once found empty.
-	if t1.Dequeue(0, pa()) == nil {
+	if t1.Pop(0, pa()) == nil {
 		t.Fatal("expected packet")
 	}
-	if t1.Dequeue(0, pa()) != nil {
+	if t1.Pop(0, pa()) != nil {
 		t.Fatal("expected empty")
 	}
 	// Now TID2 can claim the hash queue without a collision.
@@ -92,7 +92,7 @@ func TestTIDBindingReleased(t *testing.T) {
 	if fq.HashCollisions() != before {
 		t.Fatal("binding not released: collision recorded")
 	}
-	if t2.Dequeue(0, pa()) == nil {
+	if t2.Pop(0, pa()) == nil {
 		t.Fatal("TID2 lost its packet")
 	}
 }
@@ -117,7 +117,7 @@ func TestGlobalLimitProtectsThinTIDs(t *testing.T) {
 	if thin.Len() != 1 {
 		t.Fatal("thin TID's packet was dropped")
 	}
-	if got := thin.Dequeue(0, pa()); got == nil || got.Flow != 2 {
+	if got := thin.Pop(0, pa()); got == nil || got.Flow != 2 {
 		t.Fatalf("thin TID dequeued %+v", got)
 	}
 }
@@ -129,11 +129,11 @@ func TestSparseQueuePriorityWithinTID(t *testing.T) {
 		tid.Enqueue(mkp(1, 1500), 0)
 	}
 	// Exhaust the bulk flow's quantum so it rotates to the old list.
-	tid.Dequeue(0, pa())
-	tid.Dequeue(0, pa())
+	tid.Pop(0, pa())
+	tid.Pop(0, pa())
 	sp := mkp(42, 100)
 	tid.Enqueue(sp, 0)
-	if got := tid.Dequeue(0, pa()); got != sp {
+	if got := tid.Pop(0, pa()); got != sp {
 		t.Fatalf("sparse flow not prioritised; got flow %d", got.Flow)
 	}
 	if fq.SparseDequeues() == 0 {
@@ -157,7 +157,7 @@ func TestLenTracking(t *testing.T) {
 	if !t1.Backlogged() {
 		t.Fatal("t1 should be backlogged")
 	}
-	t1.Dequeue(0, pa())
+	t1.Pop(0, pa())
 	if t1.Len() != 4 || fq.Len() != 7 {
 		t.Fatalf("lens after dequeue: %d/%d", t1.Len(), fq.Len())
 	}
@@ -173,7 +173,7 @@ func TestCodelDropsCountedPerTID(t *testing.T) {
 	// Dequeue slowly at high sojourn.
 	for i := 0; i < 300; i++ {
 		now += 10 * sim.Millisecond
-		if tid.Dequeue(now, pa()) == nil {
+		if tid.Pop(now, pa()) == nil {
 			break
 		}
 	}
@@ -182,7 +182,7 @@ func TestCodelDropsCountedPerTID(t *testing.T) {
 	}
 	// Accounting stays consistent.
 	drained := 0
-	for tid.Dequeue(now, pa()) != nil {
+	for tid.Pop(now, pa()) != nil {
 		drained++
 	}
 	if tid.Len() != 0 || fq.Len() != 0 {
@@ -216,12 +216,12 @@ func TestConservation(t *testing.T) {
 		if r.Float64() < 0.7 {
 			tid.Enqueue(mkp(uint64(r.Intn(8)), 64+r.Intn(1400)), now)
 			enq++
-		} else if tid.Dequeue(now, pa()) != nil {
+		} else if tid.Pop(now, pa()) != nil {
 			deq++
 		}
 	}
 	for _, tid := range tids {
-		for tid.Dequeue(now, pa()) != nil {
+		for tid.Pop(now, pa()) != nil {
 			deq++
 		}
 	}

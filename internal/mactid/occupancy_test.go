@@ -9,8 +9,9 @@ import (
 
 // refLongestQueue is the original O(flows+overflow) reference: first
 // strictly longest hash queue in index order, then overflow queues, a
-// later queue winning only on strictly more bytes.
-func refLongestQueue(fq *Fq) *queue {
+// later queue winning only on strictly more bytes. tids lists every TID
+// of fq in creation order.
+func refLongestQueue(fq *Fq, tids []*TID) *queue {
 	var longest *queue
 	for i := range fq.flows {
 		q := &fq.flows[i]
@@ -18,8 +19,8 @@ func refLongestQueue(fq *Fq) *queue {
 			longest = q
 		}
 	}
-	for _, q := range fq.overflow {
-		if q.q.Bytes() > longest.q.Bytes() {
+	for _, tid := range tids {
+		if q := &tid.overflowQ; q.q.Bytes() > longest.q.Bytes() {
 			longest = q
 		}
 	}
@@ -42,9 +43,9 @@ func TestLongestQueueMatchesReferenceScan(t *testing.T) {
 			// overflow queues, equal sizes force ties.
 			tid.Enqueue(mkp(uint64(r.Intn(8)), 100*(1+r.Intn(3))), now)
 		} else {
-			tid.Dequeue(now, codel.Default())
+			tid.Pop(now, codel.Default())
 		}
-		got, want := fq.longestQueue(), refLongestQueue(fq)
+		got, want := fq.longestQueue(), refLongestQueue(fq, tids)
 		if got != want {
 			t.Fatalf("step %d: longestQueue picked idx %d (%d B), reference idx %d (%d B)",
 				step, got.idx, got.q.Bytes(), want.idx, want.q.Bytes())

@@ -38,10 +38,18 @@ const DefaultPFIFOLimit = 1000
 // NewPFIFO returns a PFIFO with the given packet limit (DefaultPFIFOLimit
 // if limit <= 0).
 func NewPFIFO(limit int) *PFIFO {
+	f := new(PFIFO)
+	f.SetLimit(limit)
+	return f
+}
+
+// SetLimit sets the packet limit (DefaultPFIFOLimit if limit <= 0). It
+// initialises a PFIFO held by value, as NewPFIFO does a fresh one.
+func (f *PFIFO) SetLimit(limit int) {
 	if limit <= 0 {
 		limit = DefaultPFIFOLimit
 	}
-	return &PFIFO{limit: limit}
+	f.limit = limit
 }
 
 // Enqueue implements Qdisc.

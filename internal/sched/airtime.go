@@ -15,16 +15,20 @@ type Airtime struct {
 	// weighted enables the per-station weight knob; the plain Airtime
 	// scheme keeps it off so weights set on stations have no effect.
 	weighted bool
-	owner    map[*airtime.Station]*Entry
+}
+
+// airtimeEntry is one registration: the handle and the scheduler's
+// per-station state in a single allocation. The inner station's Owner
+// points back at the handle, so Next needs no lookup.
+type airtimeEntry struct {
+	Entry
+	st airtime.Station
 }
 
 // NewAirtime returns the paper's airtime scheduler with the given quantum
 // (0 = default) and sparse-station optimisation setting.
 func NewAirtime(quantum sim.Time, sparseOpt bool) *Airtime {
-	return &Airtime{
-		inner: &airtime.Scheduler{Quantum: quantum, SparseOpt: sparseOpt},
-		owner: make(map[*airtime.Station]*Entry),
-	}
+	return &Airtime{inner: &airtime.Scheduler{Quantum: quantum, SparseOpt: sparseOpt}}
 }
 
 // NewWeightedAirtime returns the airtime scheduler with the per-station
@@ -43,11 +47,11 @@ func (a *Airtime) Inner() *airtime.Scheduler { return a.inner }
 func (a *Airtime) station(e *Entry) *airtime.Station { return e.impl.(*airtime.Station) }
 
 // Register implements StationScheduler.
-func (a *Airtime) Register(backlogged func() bool) *Entry {
-	st := &airtime.Station{Backlogged: backlogged}
-	e := &Entry{impl: st}
-	a.owner[st] = e
-	return e
+func (a *Airtime) Register(src Backlog) *Entry {
+	ae := &airtimeEntry{st: airtime.Station{Backlog: src}}
+	ae.impl = &ae.st
+	ae.st.Owner = &ae.Entry
+	return &ae.Entry
 }
 
 // Activate implements StationScheduler.
@@ -59,7 +63,7 @@ func (a *Airtime) Next() *Entry {
 	if st == nil {
 		return nil
 	}
-	return a.owner[st]
+	return st.Owner.(*Entry)
 }
 
 // ChargeTx implements StationScheduler; the wall-clock duration is

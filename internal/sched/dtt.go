@@ -12,16 +12,20 @@ import (
 // the paper's §3.2 calls out — and does not account received airtime.
 type DTT struct {
 	inner *dtt.Scheduler
-	owner map[*dtt.Entry]*Entry
+}
+
+// dttEntry is one registration: the handle and the scheduler's token
+// state in a single allocation. The inner entry's Owner points back at
+// the handle, so Next needs no lookup.
+type dttEntry struct {
+	Entry
+	de dtt.Entry
 }
 
 // NewDTT returns the DTT comparison baseline with the given quantum
 // (0 = default).
 func NewDTT(quantum sim.Time) *DTT {
-	return &DTT{
-		inner: &dtt.Scheduler{Quantum: quantum},
-		owner: make(map[*dtt.Entry]*Entry),
-	}
+	return &DTT{inner: &dtt.Scheduler{Quantum: quantum}}
 }
 
 // Inner exposes the wrapped scheduler (for tests and tracing).
@@ -30,11 +34,11 @@ func (d *DTT) Inner() *dtt.Scheduler { return d.inner }
 func (d *DTT) entry(e *Entry) *dtt.Entry { return e.impl.(*dtt.Entry) }
 
 // Register implements StationScheduler.
-func (d *DTT) Register(backlogged func() bool) *Entry {
-	inner := d.inner.Register(backlogged)
-	e := &Entry{impl: inner}
-	d.owner[inner] = e
-	return e
+func (d *DTT) Register(src Backlog) *Entry {
+	de := &dttEntry{de: dtt.Entry{Backlog: src}}
+	de.impl = &de.de
+	de.de.Owner = &de.Entry
+	return &de.Entry
 }
 
 // Activate implements StationScheduler.
@@ -46,7 +50,7 @@ func (d *DTT) Next() *Entry {
 	if inner == nil {
 		return nil
 	}
-	return d.owner[inner]
+	return inner.Owner.(*Entry)
 }
 
 // ChargeTx implements StationScheduler; DTT bills the wall-clock

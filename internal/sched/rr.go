@@ -13,11 +13,13 @@ type RoundRobin struct {
 	head, tail *rrEntry
 }
 
+// rrEntry is one registration: the handle and the rotation state in a
+// single allocation.
 type rrEntry struct {
-	entry      *Entry
-	backlogged func() bool
-	active     bool
-	next       *rrEntry
+	Entry
+	src    Backlog
+	active bool
+	next   *rrEntry
 
 	// Turns counts scheduling grants (for tests and tracing).
 	Turns int
@@ -29,10 +31,10 @@ func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 func (r *RoundRobin) get(e *Entry) *rrEntry { return e.impl.(*rrEntry) }
 
 // Register implements StationScheduler.
-func (r *RoundRobin) Register(backlogged func() bool) *Entry {
-	re := &rrEntry{backlogged: backlogged}
-	re.entry = &Entry{impl: re}
-	return re.entry
+func (r *RoundRobin) Register(src Backlog) *Entry {
+	re := &rrEntry{src: src}
+	re.impl = re
+	return &re.Entry
 }
 
 // Activate implements StationScheduler.
@@ -77,7 +79,7 @@ func (r *RoundRobin) Next() *Entry {
 		if re == nil {
 			return nil
 		}
-		if !re.backlogged() {
+		if !re.src.Backlogged() {
 			r.popHead()
 			re.active = false
 			continue
@@ -85,7 +87,7 @@ func (r *RoundRobin) Next() *Entry {
 		r.popHead()
 		r.pushTail(re)
 		re.Turns++
-		return re.entry
+		return &re.Entry
 	}
 }
 

@@ -15,9 +15,18 @@ package sched
 
 import "repro/internal/sim"
 
+// Backlog is the registrar's backlog source for one entry: the MAC
+// registers its per-(station, access category) TID state, which reports
+// whether it can contribute packets to an aggregate right now.
+type Backlog interface {
+	Backlogged() bool
+}
+
 // Entry is one station's handle within a StationScheduler. The registrar
-// (the MAC) supplies the backlog probe at Register time and may attach
+// (the MAC) supplies the backlog source at Register time and may attach
 // its own station object to User to map scheduling decisions back.
+// Schedulers allocate an Entry together with their per-entry state, so a
+// registration is one heap object.
 type Entry struct {
 	// User is opaque registrar data; the MAC stores its *mac.Station
 	// here so Next results translate back to stations.
@@ -31,9 +40,9 @@ type Entry struct {
 // MAC asks Next which station may build the next aggregate and reports
 // completed transmissions back through the Charge methods.
 type StationScheduler interface {
-	// Register adds a station with its backlog probe and returns its
+	// Register adds a station with its backlog source and returns its
 	// scheduling handle. Called once per station when it associates.
-	Register(backlogged func() bool) *Entry
+	Register(src Backlog) *Entry
 
 	// Activate notifies that the entry has become backlogged. Idempotent
 	// for entries already scheduled.

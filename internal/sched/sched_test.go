@@ -9,16 +9,16 @@ import (
 // probe is a switchable backlog flag.
 type probe struct{ on bool }
 
-func (p *probe) fn() func() bool { return func() bool { return p.on } }
+func (p *probe) Backlogged() bool { return p.on }
 
 // TestRoundRobinRotation: backlogged stations take strict turns, idle
 // stations leave the rotation and re-enter on Activate.
 func TestRoundRobinRotation(t *testing.T) {
 	rr := NewRoundRobin()
 	pa, pb, pc := &probe{on: true}, &probe{on: true}, &probe{on: true}
-	a := rr.Register(pa.fn())
-	b := rr.Register(pb.fn())
-	c := rr.Register(pc.fn())
+	a := rr.Register(pa)
+	b := rr.Register(pb)
+	c := rr.Register(pc)
 	a.User, b.User, c.User = "a", "b", "c"
 	rr.Activate(a)
 	rr.Activate(b)
@@ -73,8 +73,8 @@ func TestRoundRobinRotation(t *testing.T) {
 func TestAirtimeAdapterChargesAndMapsBack(t *testing.T) {
 	a := NewAirtime(0, true)
 	p1, p2 := &probe{on: true}, &probe{on: true}
-	e1 := a.Register(p1.fn())
-	e2 := a.Register(p2.fn())
+	e1 := a.Register(p1)
+	e2 := a.Register(p2)
 	e1.User, e2.User = 1, 2
 	a.Activate(e1)
 	a.Activate(e2)
@@ -96,8 +96,8 @@ func TestAirtimeAdapterChargesAndMapsBack(t *testing.T) {
 func TestWeightedAirtimeShares(t *testing.T) {
 	a := NewWeightedAirtime(0, false)
 	p1, p2 := &probe{on: true}, &probe{on: true}
-	heavy := a.Register(p1.fn())
-	light := a.Register(p2.fn())
+	heavy := a.Register(p1)
+	light := a.Register(p2)
 	a.SetWeight(heavy, 2)
 	a.Activate(heavy)
 	a.Activate(light)
@@ -127,8 +127,8 @@ func TestWeightedAirtimeShares(t *testing.T) {
 func TestPlainAirtimeIgnoresWeights(t *testing.T) {
 	a := NewAirtime(0, false)
 	p1, p2 := &probe{on: true}, &probe{on: true}
-	e1 := a.Register(p1.fn())
-	e2 := a.Register(p2.fn())
+	e1 := a.Register(p1)
+	e2 := a.Register(p2)
 	var w Weighted = a
 	w.SetWeight(e1, 8)
 	a.Activate(e1)
@@ -156,7 +156,7 @@ func TestPlainAirtimeIgnoresWeights(t *testing.T) {
 func TestDTTAdapterBillsWallClock(t *testing.T) {
 	d := NewDTT(0)
 	p := &probe{on: true}
-	e := d.Register(p.fn())
+	e := d.Register(p)
 	d.Activate(e)
 	if got := d.Next(); got != e {
 		t.Fatalf("Next = %v, want the registered entry", got)
@@ -169,5 +169,73 @@ func TestDTTAdapterBillsWallClock(t *testing.T) {
 	d.ChargeRx(e, sim.Second) // must be ignored
 	if got := d.entry(e).Credit(); got != before-900*sim.Microsecond {
 		t.Fatal("DTT accounted received airtime")
+	}
+}
+
+// TestNextReturnsRegisteredEntry: every scheduler hands back the very
+// *Entry that Register returned — the MAC maps picks to stations through
+// it — and stops picking an entry once its backlog drains.
+func TestNextReturnsRegisteredEntry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sc   StationScheduler
+	}{
+		{"RoundRobin", NewRoundRobin()},
+		{"Airtime", NewAirtime(0, true)},
+		{"Weighted-Airtime", NewWeightedAirtime(0, true)},
+		{"DTT", NewDTT(0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			probes := make([]probe, 5)
+			index := make(map[*Entry]int)
+			for i := range probes {
+				probes[i].on = true
+				e := tc.sc.Register(&probes[i])
+				index[e] = i
+				tc.sc.Activate(e)
+			}
+			pick := func() int {
+				e := tc.sc.Next()
+				i, ok := index[e]
+				if !ok {
+					t.Fatalf("Next returned %p, not an entry Register returned", e)
+				}
+				tc.sc.ChargeTx(e, 100*sim.Microsecond, 100*sim.Microsecond)
+				return i
+			}
+			picked := make([]int, len(probes))
+			for k := 0; k < 200; k++ {
+				picked[pick()]++
+			}
+			for i, c := range picked {
+				if c == 0 {
+					t.Errorf("entry %d never picked", i)
+				}
+			}
+			probes[2].on = false
+			for k := 0; k < 200; k++ {
+				if i := pick(); i == 2 {
+					t.Fatalf("pick %d: drained entry 2 still scheduled", k)
+				}
+			}
+		})
+	}
+}
+
+// TestSetWeightReachesItsEntry: SetWeight changes the weight of exactly
+// the entry it is given.
+func TestSetWeightReachesItsEntry(t *testing.T) {
+	a := NewWeightedAirtime(0, true)
+	entries := make([]*Entry, 4)
+	for i := range entries {
+		entries[i] = a.Register(&probe{})
+	}
+	for i, e := range entries {
+		a.SetWeight(e, float64(i+1))
+	}
+	for i, e := range entries {
+		if w := a.station(e).Weight; w != float64(i+1) {
+			t.Errorf("entry %d weight = %v, want %d", i, w, i+1)
+		}
 	}
 }

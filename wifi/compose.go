@@ -36,6 +36,9 @@ type (
 	StationScheduler = sched.StationScheduler
 	// SchedEntry is one station's handle within a StationScheduler.
 	SchedEntry = sched.Entry
+	// SchedBacklog is the backlog source a StationScheduler's Register
+	// receives for each station.
+	SchedBacklog = sched.Backlog
 	// Node is one 802.11 device of the underlying MAC model.
 	Node = mac.Node
 	// AC is an 802.11e access category.
