@@ -8,6 +8,10 @@
 //
 //   - function literals (closure environments are heap-allocated; hoist
 //     the closure to a struct field built at setup time)
+//   - bound method values (`x.m` used as a func value rather than
+//     called): each evaluation allocates a closure holding the receiver,
+//     exactly like a literal. Schedule a package-level trampoline with
+//     the receiver as its argument (Sim.AtCall/AfterCall) instead
 //   - fmt.* calls (every argument is boxed into an interface) — except
 //     inside the arguments of a panic, which is a dead-model trap, not
 //     a hot path
@@ -35,8 +39,8 @@ import (
 // Analyzer is the hotalloc analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
-	Doc: "forbid heap-allocation patterns (closures, fmt boxing, map/slice literals,\n" +
-		"un-preallocated append, string building) in //hj17:hotpath functions",
+	Doc: "forbid heap-allocation patterns (closures, method values, fmt boxing,\n" +
+		"map/slice literals, un-preallocated append, string building) in //hj17:hotpath functions",
 	Run: run,
 }
 
@@ -80,6 +84,10 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		return false
 	}
 	unprealloc := unpreallocLocals(pass, fd.Body)
+	// callees holds every expression in call position. A call node is
+	// visited before its Fun, so a method selector is known to be called
+	// by the time it is reached.
+	callees := make(map[ast.Expr]bool)
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -89,7 +97,16 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return false // inner body is the closure's problem once hoisted
 
 		case *ast.CallExpr:
+			callees[ast.Unparen(n.Fun)] = true
 			checkCall(pass, fd, n, inPanic)
+
+		case *ast.SelectorExpr:
+			if sel := pass.TypesInfo.Selections[n]; sel != nil && sel.Kind() == types.MethodVal &&
+				!callees[n] && !inPanic(n.Pos()) {
+				pass.Reportf(n.Pos(), "method value %s.%s in //hj17:hotpath function %s allocates a "+
+					"closure binding its receiver; pass a package-level func and the receiver "+
+					"as its argument (Sim.AtCall)", types.ExprString(n.X), n.Sel.Name, fd.Name.Name)
+			}
 
 		case *ast.CompositeLit:
 			if inPanic(n.Pos()) {

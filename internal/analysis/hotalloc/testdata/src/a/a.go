@@ -62,3 +62,37 @@ func Cold(name string) []string {
 	parts := []string{name + "!"}
 	return append(parts, fmt.Sprint(name))
 }
+
+type timer struct{ fired int }
+
+func (t *timer) fire()      { t.fired++ }
+func (t *timer) delay() int { return t.fired }
+
+func schedule(fn func())               {}
+func scheduleCall(fn func(any), a any) {}
+
+func timerFired(a any) { a.(*timer).fire() }
+
+// A bound method value allocates a closure over its receiver.
+//
+//hj17:hotpath
+func Arm(t *timer, s fmt.Stringer) {
+	schedule(t.fire) // want `method value t\.fire`
+	f := s.String    // want `method value s\.String`
+	g := (t.fire)    // want `method value t\.fire`
+	_, _ = f, g
+}
+
+// Calling a method, a method expression and the trampoline idiom are
+// allowed.
+//
+//hj17:hotpath
+func ArmCall(t *timer) int {
+	t.fire()
+	(t.fire)()
+	defer t.fire()
+	expr := (*timer).fire
+	expr(t)
+	scheduleCall(timerFired, t)
+	return t.delay()
+}

@@ -2,10 +2,12 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/campaign"
 	"repro/internal/mac"
+	"repro/internal/sim"
 )
 
 // A Spec is a declarative experiment definition: a parameter grid plus a
@@ -157,13 +159,28 @@ func (p Params) Str(name string) string { return p[name] }
 // transmit-path registry.
 func (p Params) Scheme() (mac.Scheme, error) { return ParseScheme(p["scheme"]) }
 
-// Float parses the named parameter as a float64.
+// Float parses the named parameter as a finite float64. NaN and ±Inf
+// parse in strconv but describe no world, so they are rejected here for
+// every Spec.
 func (p Params) Float(name string) (float64, error) {
 	v, err := strconv.ParseFloat(p[name], 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad %s: %w", name, err)
 	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("bad %s: %q is not a finite number", name, p[name])
+	}
 	return v, nil
+}
+
+// simDuration converts a duration in nanoseconds to a sim.Time,
+// reporting false unless it is at least 1 ns and fits in sim.Time.
+// float64(math.MaxInt64) rounds up to 2^63, so the bound is exclusive.
+func simDuration(ns float64) (sim.Time, bool) {
+	if !(ns >= 1) || ns >= float64(math.MaxInt64) {
+		return 0, false
+	}
+	return sim.Time(ns), true
 }
 
 // Int parses the named parameter as an int.

@@ -183,9 +183,9 @@ func TestScenarioMetadata(t *testing.T) {
 
 // TestSpecBuildRejectsOutOfRange: a parameter the scenario cannot
 // simulate as recorded is a Build error, not a silent default (scale
-// stations < 4 used to simulate 30, VoIP delay-ms 0 simulated 1 ms) or
-// a simulator panic (a negative VoIP delay scheduled events in the
-// past). An in-range value still builds the world its parameters
+// stations < 4 used to simulate 30, VoIP delay-ms 0 simulated 1 ms), a
+// simulator panic (a negative VoIP delay scheduled events in the past)
+// or a hang. An in-range value still builds the world its parameters
 // describe.
 func TestSpecBuildRejectsOutOfRange(t *testing.T) {
 	for _, tc := range []struct {
@@ -203,6 +203,20 @@ func TestSpecBuildRejectsOutOfRange(t *testing.T) {
 		{SpecVoIP(), Params{"scheme": "FIFO", "qos": "VO", "delay-ms": "-50"}, false, 0},
 		{SpecVoIP(), Params{"scheme": "FIFO", "qos": "BE", "delay-ms": "0"}, false, 0},
 		{SpecVoIP(), Params{"scheme": "FIFO", "qos": "BE", "delay-ms": "1"}, true, 4},
+		// A weight whose replenished quantum is under 1 ns or overflows
+		// sim.Time used to spin airtime.Scheduler.Next forever.
+		{SpecWeightedUDP(), Params{"scheme": "Weighted-Airtime", "slow-weight": "Inf"}, false, 0},
+		{SpecWeightedUDP(), Params{"scheme": "Weighted-Airtime", "slow-weight": "NaN"}, false, 0},
+		{SpecWeightedUDP(), Params{"scheme": "Weighted-Airtime", "slow-weight": "1e-6"}, false, 0},
+		{SpecWeightedUDP(), Params{"scheme": "Weighted-Airtime", "slow-weight": "1e-300"}, false, 0},
+		{SpecWeightedUDP(), Params{"scheme": "Weighted-Airtime", "slow-weight": "1e300"}, false, 0},
+		{SpecWeightedUDP(), Params{"scheme": "Weighted-Airtime", "slow-weight": "0.5"}, true, 3},
+		// A rate whose CBR gap is not a positive sim.Time used to panic
+		// with "sim: non-positive ticker period".
+		{SpecUDP(), Params{"scheme": "FIFO", "rate-mbps": "Inf"}, false, 0},
+		{SpecUDP(), Params{"scheme": "FIFO", "rate-mbps": "1e12"}, false, 0},
+		{SpecUDP(), Params{"scheme": "FIFO", "rate-mbps": "1e-300"}, false, 0},
+		{SpecUDP(), Params{"scheme": "FIFO", "rate-mbps": "20"}, true, 3},
 	} {
 		inst, err := tc.spec.Build(tc.params)
 		if !tc.ok {
@@ -218,6 +232,20 @@ func TestSpecBuildRejectsOutOfRange(t *testing.T) {
 		if got := len(inst.Net.stationNames()); got != tc.stations {
 			t.Errorf("%s %v: built %d stations, want %d", tc.spec.Name, tc.params, got, tc.stations)
 		}
+	}
+}
+
+// TestParamsFloatRejectsNonFinite: strconv parses NaN and the
+// infinities, but no Spec can simulate them, so Float refuses them for
+// every Spec.
+func TestParamsFloatRejectsNonFinite(t *testing.T) {
+	for _, v := range []string{"NaN", "Inf", "+Inf", "-Inf", "infinity", "1e400"} {
+		if got, err := (Params{"x": v}).Float("x"); err == nil {
+			t.Errorf("Float(%q) = %v, want an error", v, got)
+		}
+	}
+	if got, err := (Params{"x": "-2.5e3"}).Float("x"); err != nil || got != -2500 {
+		t.Errorf(`Float("-2.5e3") = %v, %v`, got, err)
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/airtime"
 	"repro/internal/campaign"
 	"repro/internal/mac"
 	"repro/internal/model"
+	"repro/internal/traffic"
 )
 
 // UDPConfig configures the one-way UDP flood experiment behind Figure 5
@@ -71,6 +73,11 @@ func SpecUDP() *Spec {
 			if !(rate > 0) {
 				return nil, fmt.Errorf("rate-mbps must be positive, got %v", rate)
 			}
+			// The CBR source ticks once per 1500-byte datagram (its
+			// default size); the period must be a positive sim.Time.
+			if _, ok := simDuration(traffic.CBRGapNs(1500, rate*1e6)); !ok {
+				return nil, fmt.Errorf("rate-mbps %v gives no simulable send interval", rate)
+			}
 			return udpInstance(UDPConfig{Scheme: scheme, RateBps: rate * 1e6}), nil
 		},
 	}
@@ -94,6 +101,12 @@ func SpecWeightedUDP() *Spec {
 			w, err := p.Float("slow-weight")
 			if err != nil || !(w > 0) {
 				return nil, fmt.Errorf("bad slow-weight %q", p.Str("slow-weight"))
+			}
+			// The scheduler replenishes weight × quantum of airtime per
+			// round; a quantum under 1 ns (or past sim.Time) never lets
+			// the station's deficit turn positive, so Next would spin.
+			if _, ok := simDuration(float64(airtime.DefaultQuantum) * w); !ok {
+				return nil, fmt.Errorf("slow-weight %v gives no simulable airtime quantum", w)
 			}
 			inst := udpInstance(UDPConfig{
 				Scheme: scheme, RateBps: 50e6,

@@ -108,7 +108,10 @@ func (l *flowList) popHead() *flow {
 
 // FQCoDel is an instance of the discipline. Create with New.
 type FQCoDel struct {
-	cfg      Config
+	cfg Config
+	// flows is the hash table, built on first use (table): an AP holds
+	// one instance per access category, and most cells only ever send
+	// on one of them.
 	flows    []flow
 	occupied []*flow // flows currently holding bytes, in no particular order
 	// occBytes mirrors each occupied flow's byte count in a flat array,
@@ -136,8 +139,7 @@ type FQCoDel struct {
 func New(cfg Config) *FQCoDel {
 	cfg.fill()
 	fq := &FQCoDel{
-		cfg:   cfg,
-		flows: make([]flow, cfg.Flows),
+		cfg: cfg,
 		// Backlogged flows are few even under saturation; a small
 		// starting capacity keeps steady-state occupancy tracking
 		// allocation-free.
@@ -147,16 +149,24 @@ func New(cfg Config) *FQCoDel {
 	if cfg.Flows&(cfg.Flows-1) == 0 {
 		fq.flowMask = uint64(cfg.Flows - 1)
 	}
-	for i := range fq.flows {
-		fq.flows[i].idx = i
-		fq.flows[i].occPos = -1
-	}
 	fq.codelDrop = func(dp *pkt.Packet) {
 		fq.len--
 		fq.codelDrops++
 		fq.drop(dp)
 	}
 	return fq
+}
+
+// table returns the flow table, building it on first use.
+func (fq *FQCoDel) table() []flow {
+	if fq.flows == nil {
+		fq.flows = make([]flow, fq.cfg.Flows)
+		for i := range fq.flows {
+			fq.flows[i].idx = i
+			fq.flows[i].occPos = -1
+		}
+	}
+	return fq.flows
 }
 
 // Len implements qdisc.Qdisc.
@@ -220,7 +230,7 @@ func (fq *FQCoDel) occUpdate(f *flow) {
 //hj17:hotpath
 func (fq *FQCoDel) longestFlow() *flow {
 	if len(fq.occupied) == 0 {
-		return &fq.flows[0]
+		return &fq.table()[0]
 	}
 	li, lb := 0, fq.occBytes[0]
 	for i, b := range fq.occBytes[1:] {
@@ -235,11 +245,12 @@ func (fq *FQCoDel) longestFlow() *flow {
 //
 //hj17:hotpath
 func (fq *FQCoDel) Enqueue(p *pkt.Packet) bool {
+	flows := fq.table()
 	var f *flow
 	if fq.flowMask != 0 {
-		f = &fq.flows[p.FlowKey()&fq.flowMask]
+		f = &flows[p.FlowKey()&fq.flowMask]
 	} else {
-		f = &fq.flows[p.FlowKey()%uint64(len(fq.flows))]
+		f = &flows[p.FlowKey()%uint64(len(flows))]
 	}
 	p.Enqueued = fq.cfg.Clock()
 	f.q.Push(p)

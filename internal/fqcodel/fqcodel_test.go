@@ -199,6 +199,25 @@ func TestEmptyDequeue(t *testing.T) {
 	}
 }
 
+// TestIdleInstanceAllocatesNoTable: an instance that never receives a
+// packet never builds its flow table, however often it is polled; the
+// first Enqueue builds it at the configured size.
+func TestIdleInstanceAllocatesNoTable(t *testing.T) {
+	fq, _ := newFQ(t, Config{})
+	allocs := testing.AllocsPerRun(100, func() {
+		if fq.Dequeue() != nil || fq.Len() != 0 || fq.Drops() != 0 {
+			t.Fatal("idle instance is not empty")
+		}
+	})
+	if allocs != 0 || fq.flows != nil {
+		t.Fatalf("idle instance allocated (%.1f allocs per poll, table of %d flows)", allocs, len(fq.flows))
+	}
+	fq.Enqueue(mkp(1, 100))
+	if len(fq.flows) != 1024 {
+		t.Fatalf("first Enqueue built %d flows, want 1024", len(fq.flows))
+	}
+}
+
 func TestMissingClockPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

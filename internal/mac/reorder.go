@@ -22,7 +22,8 @@ type reorderKey struct {
 // layers in sequence-number order, buffering holes until the transmitter's
 // retries arrive or the hole times out (the transmitter gave up).
 type reorderState struct {
-	next    int // next expected sequence number
+	node    *Node // the receiving node, for the timeout trampoline
+	next    int   // next expected sequence number
 	buf     map[int]*pkt.Packet
 	timer   sim.EventRef
 	started bool
@@ -36,7 +37,7 @@ type reorderState struct {
 func (n *Node) reorderDeliver(key reorderKey, pkts []*pkt.Packet) {
 	rs := n.reorder[key]
 	if rs == nil {
-		rs = &reorderState{buf: make(map[int]*pkt.Packet), holeSeq: -1}
+		rs = &reorderState{node: n, buf: make(map[int]*pkt.Packet), holeSeq: -1}
 		if n.reorder == nil {
 			n.reorder = make(map[reorderKey]*reorderState)
 		}
@@ -103,23 +104,34 @@ func (n *Node) reorderArm(rs *reorderState) {
 	if wait < 0 {
 		wait = 0
 	}
-	rs.timer = n.env.Sim.After(wait, func() {
-		rs.timer = sim.EventRef{}
-		if len(rs.buf) == 0 {
-			return
-		}
-		if rs.holeSeq == rs.next {
-			// Still blocked on the timed-out hole: skip to the smallest
-			// buffered sequence number and release what follows.
-			lowest := -1
-			for s := range rs.buf {
-				if lowest < 0 || s < lowest {
-					lowest = s
-				}
+	rs.timer = n.env.Sim.AfterCall(wait, reorderFired, rs)
+}
+
+// reorderFired is the hole-timeout trampoline: the session is the event
+// argument, so arming the timer builds no closure.
+func reorderFired(a any) {
+	rs := a.(*reorderState)
+	rs.node.reorderTimeout(rs)
+}
+
+// reorderTimeout runs when a hole has been blocking the buffer for the
+// full reorder timeout.
+func (n *Node) reorderTimeout(rs *reorderState) {
+	rs.timer = sim.EventRef{}
+	if len(rs.buf) == 0 {
+		return
+	}
+	if rs.holeSeq == rs.next {
+		// Still blocked on the timed-out hole: skip to the smallest
+		// buffered sequence number and release what follows.
+		lowest := -1
+		for s := range rs.buf {
+			if lowest < 0 || s < lowest {
+				lowest = s
 			}
-			rs.next = lowest
-			n.reorderFlush(rs)
 		}
-		n.reorderArm(rs)
-	})
+		rs.next = lowest
+		n.reorderFlush(rs)
+	}
+	n.reorderArm(rs)
 }

@@ -1,5 +1,7 @@
 package tcp
 
+import "repro/internal/pkt"
+
 // span is a half-open byte range [start, end).
 type span struct{ start, end int64 }
 
@@ -8,39 +10,46 @@ type spanSet struct {
 	s []span
 }
 
-// insert adds [start, end), merging with neighbours.
+// insert adds [start, end), merging with neighbours. The set is
+// rewritten in place: the merged run of overlapping or adjacent spans
+// collapses into its first slot and the tail shifts down, so once the
+// backing array has grown to the connection's hole count no insert
+// allocates.
+//
+//hj17:hotpath
 func (ss *spanSet) insert(start, end int64) {
 	if start >= end {
 		return
 	}
-	// A fresh output slice: the two-append case below would otherwise
-	// clobber elements of ss.s before they are read.
-	out := make([]span, 0, len(ss.s)+1)
-	placed := false
-	for _, sp := range ss.s {
-		switch {
-		case sp.end < start:
-			out = append(out, sp)
-		case end < sp.start:
-			if !placed {
-				out = append(out, span{start, end})
-				placed = true
-			}
-			out = append(out, sp)
-		default:
-			// Overlapping or adjacent: absorb into the candidate.
-			if sp.start < start {
-				start = sp.start
-			}
-			if sp.end > end {
-				end = sp.end
-			}
-		}
+	s := ss.s
+	// s[i:j] are the spans that overlap or touch [start, end): every
+	// span before i ends strictly below start, every span from j on
+	// starts strictly above end.
+	i := 0
+	for i < len(s) && s[i].end < start {
+		i++
 	}
-	if !placed {
-		out = append(out, span{start, end})
+	j := i
+	for j < len(s) && s[j].start <= end {
+		j++
 	}
-	ss.s = out
+	if i == j {
+		// Nothing to absorb: open a slot at i.
+		s = append(s, span{})
+		copy(s[i+1:], s[i:])
+		s[i] = span{start, end}
+		ss.s = s
+		return
+	}
+	if s[i].start < start {
+		start = s[i].start
+	}
+	if s[j-1].end > end {
+		end = s[j-1].end
+	}
+	s[i] = span{start, end}
+	n := copy(s[i+1:], s[j:])
+	ss.s = s[:i+1+n]
 }
 
 // pruneBelow removes coverage below seq.
@@ -124,19 +133,15 @@ func (ss *spanSet) nextGap(seq, limit, n int64) (int64, int64) {
 	return seq, length
 }
 
-// blocks copies up to k spans, highest first (fresh SACK info first, as
-// receivers report).
-func (ss *spanSet) blocks(k int) []span {
-	n := len(ss.s)
-	if n == 0 {
-		return nil
+// blocks appends up to k spans to dst as SACK blocks, highest first
+// (fresh SACK info first, as receivers report). Passing a recycled
+// header's Sack[:0] as dst fills it without allocating.
+//
+//hj17:hotpath
+func (ss *spanSet) blocks(dst []pkt.SackBlock, k int) []pkt.SackBlock {
+	for i := len(ss.s) - 1; i >= 0 && k > 0; i-- {
+		dst = append(dst, pkt.SackBlock{Start: ss.s[i].start, End: ss.s[i].end})
+		k--
 	}
-	if k > n {
-		k = n
-	}
-	out := make([]span, 0, k)
-	for i := n - 1; i >= 0 && len(out) < k; i-- {
-		out = append(out, ss.s[i])
-	}
-	return out
+	return dst
 }

@@ -3,6 +3,9 @@ package tcp
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/pkt"
+	"repro/internal/sim"
 )
 
 func TestSpanInsertMerge(t *testing.T) {
@@ -101,16 +104,133 @@ func TestSpanBlocks(t *testing.T) {
 	ss.insert(10, 20)
 	ss.insert(30, 40)
 	ss.insert(50, 60)
-	b := ss.blocks(2)
-	if len(b) != 2 || b[0] != (span{50, 60}) || b[1] != (span{30, 40}) {
+	b := ss.blocks(nil, 2)
+	if len(b) != 2 || b[0] != (pkt.SackBlock{Start: 50, End: 60}) || b[1] != (pkt.SackBlock{Start: 30, End: 40}) {
 		t.Fatalf("blocks = %+v", b)
 	}
-	if ss.blocks(10)[2] != (span{10, 20}) {
-		t.Fatal("blocks clamp broken")
+	if b := ss.blocks(nil, 10); len(b) != 3 || b[2] != (pkt.SackBlock{Start: 10, End: 20}) {
+		t.Fatalf("blocks clamp broken: %+v", b)
+	}
+	// Blocks append after dst's existing contents, reusing its capacity.
+	dst := make([]pkt.SackBlock, 1, 8)
+	if b := ss.blocks(dst, 1); len(b) != 2 || &b[0] != &dst[0] || b[1] != (pkt.SackBlock{Start: 50, End: 60}) {
+		t.Fatalf("blocks into dst = %+v", b)
 	}
 	var empty spanSet
-	if empty.blocks(3) != nil {
+	if len(empty.blocks(nil, 3)) != 0 {
 		t.Fatal("blocks of empty set")
+	}
+}
+
+// refInsert is the scoreboard merge as first written: it builds a fresh
+// output slice on every call. The in-place insert must produce exactly
+// the same set.
+func refInsert(s []span, start, end int64) []span {
+	if start >= end {
+		return s
+	}
+	out := make([]span, 0, len(s)+1)
+	placed := false
+	for _, sp := range s {
+		switch {
+		case sp.end < start:
+			out = append(out, sp)
+		case end < sp.start:
+			if !placed {
+				out = append(out, span{start, end})
+				placed = true
+			}
+			out = append(out, sp)
+		default:
+			if sp.start < start {
+				start = sp.start
+			}
+			if sp.end > end {
+				end = sp.end
+			}
+		}
+	}
+	if !placed {
+		out = append(out, span{start, end})
+	}
+	return out
+}
+
+// TestSpanInsertMatchesReference drives random inserts and prunes into
+// the in-place scoreboard and the reference merge side by side. Short
+// spans on a small byte range make overlap, adjacency and containment
+// (both ways) frequent; after every step the sets must be equal and
+// blocks must list them highest first.
+func TestSpanInsertMatchesReference(t *testing.T) {
+	r := sim.NewRand(2017)
+	for trial := 0; trial < 200; trial++ {
+		var ss spanSet
+		var ref []span
+		floor := int64(0)
+		for step := 0; step < 60; step++ {
+			if r.Intn(8) == 0 {
+				floor += int64(r.Intn(20))
+				ss.pruneBelow(floor)
+				var kept []span
+				for _, sp := range ref {
+					if sp.end <= floor {
+						continue
+					}
+					if sp.start < floor {
+						sp.start = floor
+					}
+					kept = append(kept, sp)
+				}
+				ref = kept
+			} else {
+				start := floor + int64(r.Intn(200))
+				end := start + int64(r.Intn(30)) - 2 // includes empty and inverted spans
+				ss.insert(start, end)
+				ref = refInsert(ref, start, end)
+			}
+			if len(ss.s) != len(ref) {
+				t.Fatalf("trial %d step %d: %+v, reference %+v", trial, step, ss.s, ref)
+			}
+			for i := range ref {
+				if ss.s[i] != ref[i] {
+					t.Fatalf("trial %d step %d: %+v, reference %+v", trial, step, ss.s, ref)
+				}
+			}
+			k := 1 + r.Intn(maxSackBlk)
+			b := ss.blocks(nil, k)
+			if want := min(k, len(ref)); len(b) != want {
+				t.Fatalf("trial %d step %d: blocks(%d) gave %d, want %d", trial, step, k, len(b), want)
+			}
+			for i, blk := range b {
+				sp := ref[len(ref)-1-i]
+				if blk != (pkt.SackBlock{Start: sp.start, End: sp.end}) {
+					t.Fatalf("trial %d step %d: block %d = %+v, want %+v", trial, step, i, blk, sp)
+				}
+			}
+		}
+	}
+}
+
+// TestSpanInsertReusesStorage: once the backing array holds the set's
+// peak span count, inserts, merges and prunes allocate nothing.
+func TestSpanInsertReusesStorage(t *testing.T) {
+	var ss spanSet
+	for i := int64(0); i < 8; i++ {
+		ss.insert(100*i, 100*i+10)
+	}
+	ss.clear()
+	allocs := testing.AllocsPerRun(100, func() {
+		ss.insert(500, 510)
+		ss.insert(100, 110)
+		ss.insert(300, 310)
+		ss.insert(105, 305) // swallows the middle
+		ss.insert(0, 50)
+		ss.insert(50, 100) // adjacency on both sides
+		ss.pruneBelow(200)
+		ss.clear()
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed spanSet allocates %.1f times per round", allocs)
 	}
 }
 

@@ -239,7 +239,12 @@ func (e *Endpoint) SendForever() {
 
 func (e *Endpoint) now() sim.Time { return e.host.Sim.Now() }
 
-func (e *Endpoint) newPacket(size int, flags pkt.TCPFlag, seq, ack int64, sack []span) *pkt.Packet {
+// newPacket builds a segment from the world's pools. A non-nil sack
+// contributes up to maxSackBlk blocks, written straight into the
+// recycled header's Sack slice.
+//
+//hj17:hotpath
+func (e *Endpoint) newPacket(size int, flags pkt.TCPFlag, seq, ack int64, sack *spanSet) *pkt.Packet {
 	srcPort, dstPort := 50000, 5001
 	if !e.client {
 		srcPort, dstPort = 5001, 50000
@@ -249,8 +254,8 @@ func (e *Endpoint) newPacket(size int, flags pkt.TCPFlag, seq, ack int64, sack [
 	h.Flags, h.Seq, h.Ack = flags, seq, ack
 	h.Window = e.conn.opts.RcvWnd
 	h.SrcPort, h.DstPort = srcPort, dstPort
-	for _, sp := range sack {
-		h.Sack = append(h.Sack, pkt.SackBlock{Start: sp.start, End: sp.end})
+	if sack != nil {
+		h.Sack = sack.blocks(h.Sack, maxSackBlk)
 	}
 	p := pool.Get()
 	p.Size = size
@@ -268,12 +273,22 @@ func (e *Endpoint) sendSYN() {
 	e.synSent = true
 	p := e.newPacket(60, pkt.SYN, 0, 0, nil)
 	e.host.Out(p)
-	e.synEv = e.host.Sim.After(e.rto, func() {
-		if !e.established {
-			e.rto = minT(2*e.rto, MaxRTO)
-			e.sendSYN()
-		}
-	})
+	e.synEv = e.host.Sim.AfterCall(e.rto, synFired, e)
+}
+
+// Timer trampolines. Each timer is scheduled with Sim.AfterCall and its
+// endpoint as the argument, so arming one builds no closure or method
+// value: a pointer stored in an interface does not allocate.
+func synFired(a any)    { a.(*Endpoint).onSYNTimeout() }
+func delackFired(a any) { a.(*Endpoint).onDelAck() }
+func rtoFired(a any)    { a.(*Endpoint).onRTO() }
+
+// onSYNTimeout retransmits an unanswered SYN with a backed-off timer.
+func (e *Endpoint) onSYNTimeout() {
+	if !e.established {
+		e.rto = minT(2*e.rto, MaxRTO)
+		e.sendSYN()
+	}
 }
 
 // Input processes a packet arriving at this endpoint.
@@ -316,6 +331,8 @@ func (e *Endpoint) Input(p *pkt.Packet) {
 }
 
 // receiveData handles an incoming data segment.
+//
+//hj17:hotpath
 func (e *Endpoint) receiveData(seq, n int64) {
 	end := seq + n
 	switch {
@@ -348,22 +365,29 @@ func (e *Endpoint) receiveData(seq, n int64) {
 		return
 	}
 	if !e.delackEv.Valid() {
-		e.delackEv = e.host.Sim.After(DelAckTime, func() {
-			e.delackEv = sim.EventRef{}
-			if e.unacked > 0 {
-				e.sendAck()
-			}
-		})
+		e.delackEv = e.host.Sim.AfterCall(DelAckTime, delackFired, e)
 	}
 }
 
+// onDelAck acknowledges data held back by the delayed-ACK timer.
+func (e *Endpoint) onDelAck() {
+	e.delackEv = sim.EventRef{}
+	if e.unacked > 0 {
+		e.sendAck()
+	}
+}
+
+// sendAck acknowledges everything received in order, with SACK blocks
+// for any out-of-order coverage, and disarms the delayed-ACK timer.
+//
+//hj17:hotpath
 func (e *Endpoint) sendAck() {
 	e.unacked = 0
 	if e.delackEv.Valid() {
 		e.host.Sim.Cancel(e.delackEv)
 		e.delackEv = sim.EventRef{}
 	}
-	e.host.Out(e.newPacket(HeaderLen, pkt.ACK, e.nextSeq, e.rcvNxt, e.ooo.blocks(maxSackBlk)))
+	e.host.Out(e.newPacket(HeaderLen, pkt.ACK, e.nextSeq, e.rcvNxt, &e.ooo))
 }
 
 // processAck handles the acknowledgement fields of an incoming segment.
@@ -613,7 +637,7 @@ func (e *Endpoint) trySend() {
 }
 
 func (e *Endpoint) emitSeg(seq, n int64, retrans bool) {
-	p := e.newPacket(int(n)+HeaderLen, pkt.ACK, seq, e.rcvNxt, e.ooo.blocks(maxSackBlk))
+	p := e.newPacket(int(n)+HeaderLen, pkt.ACK, seq, e.rcvNxt, &e.ooo)
 	e.unacked = 0
 	e.SentSegs++
 	e.SentBytes += n
@@ -623,6 +647,9 @@ func (e *Endpoint) emitSeg(seq, n int64, retrans bool) {
 	e.host.Out(p)
 }
 
+// resetRTO re-arms the retransmission timer while data is outstanding.
+//
+//hj17:hotpath
 func (e *Endpoint) resetRTO() {
 	if e.rtoEv.Valid() {
 		e.host.Sim.Cancel(e.rtoEv)
@@ -631,7 +658,7 @@ func (e *Endpoint) resetRTO() {
 	if e.inflight() == 0 {
 		return
 	}
-	e.rtoEv = e.host.Sim.After(e.rto, e.onRTO)
+	e.rtoEv = e.host.Sim.AfterCall(e.rto, rtoFired, e)
 }
 
 func (e *Endpoint) onRTO() {

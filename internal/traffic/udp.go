@@ -42,11 +42,19 @@ func NewUDPSource(h *Host, cfg UDPConfig) *UDPSource {
 	if cfg.RateBps <= 0 {
 		panic("traffic: UDP source needs a positive rate")
 	}
-	gap := sim.Time(float64(cfg.Size*8) / cfg.RateBps * 1e9)
+	gap := sim.Time(CBRGapNs(cfg.Size, cfg.RateBps))
 	return &UDPSource{
 		host: h, dst: cfg.Dst, flow: cfg.Flow,
 		size: cfg.Size, ac: cfg.AC, gap: gap,
 	}
+}
+
+// CBRGapNs is the interval between size-byte datagrams sent at rateBps,
+// in nanoseconds, before conversion to sim.Time. Callers validating a
+// rate compute it the same way, so they accept exactly the rates whose
+// gap converts to a positive period.
+func CBRGapNs(size int, rateBps float64) float64 {
+	return float64(size*8) / rateBps * 1e9
 }
 
 // Start begins transmission.
