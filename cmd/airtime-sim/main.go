@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -43,11 +44,14 @@ func parseScheme(s string) (mac.Scheme, error) {
 }
 
 // workloads maps the -traffic flag onto a workload composition.
-func workloads(kind string, udpRateBps float64) ([]*exp.Workload, error) {
+func workloads(kind string, udpMbps float64) ([]*exp.Workload, error) {
 	var ws []*exp.Workload
 	switch kind {
 	case "udp":
-		ws = []*exp.Workload{exp.UDPFlood(udpRateBps)}
+		if err := exp.CheckUDPRate(udpMbps); err != nil {
+			return nil, fmt.Errorf("-udp-mbps %w", err)
+		}
+		ws = []*exp.Workload{exp.UDPFlood(udpMbps * 1e6)}
 	case "tcp":
 		ws = []*exp.Workload{exp.TCPDown()}
 	case "bidir":
@@ -58,33 +62,49 @@ func workloads(kind string, udpRateBps float64) ([]*exp.Workload, error) {
 	return append(ws, exp.Pings(0)), nil
 }
 
-func main() {
-	schemeFlag := flag.String("scheme", "airtime",
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args, simulates the scenario and prints its results to
+// stdout. It returns the process exit status: 2 for a bad flag value.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("airtime-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	schemeFlag := fs.String("scheme", "airtime",
 		"queueing scheme: fifo|fqcodel|fqmac|airtime|dtt|airtime-rr|weighted-airtime (any registered scheme)")
-	fast := flag.Int("fast", 2, "number of fast stations")
-	fastMCS := flag.Int("fast-mcs", 15, "MCS index of fast stations")
-	slow := flag.Int("slow", 1, "number of slow stations")
-	slowMCS := flag.Int("slow-mcs", 0, "MCS index of slow stations (-1 = 1 Mbps legacy)")
-	trafficKind := flag.String("traffic", "udp", "traffic: udp|tcp|bidir")
-	rate := flag.Float64("udp-mbps", 50, "offered UDP load per station")
-	dur := flag.Float64("dur", 15, "measured seconds")
-	warm := flag.Float64("warmup", 3, "warmup seconds")
-	seed := flag.Uint64("seed", 1, "random seed")
-	loss := flag.Float64("mpdu-loss", 0, "per-MPDU random loss probability")
-	slowWeight := flag.Float64("slow-weight", 0, "airtime weight of slow stations (weighted schemes only; 0 = default 1)")
-	amsdu := flag.Int("amsdu", 0, "A-MSDU bundle size in bytes (0 disables two-level aggregation)")
-	traceN := flag.Int("trace", 0, "dump the last N AP trace events")
-	flag.Parse()
+	fast := fs.Int("fast", 2, "number of fast stations")
+	fastMCS := fs.Int("fast-mcs", 15, "MCS index of fast stations")
+	slow := fs.Int("slow", 1, "number of slow stations")
+	slowMCS := fs.Int("slow-mcs", 0, "MCS index of slow stations (-1 = 1 Mbps legacy)")
+	trafficKind := fs.String("traffic", "udp", "traffic: udp|tcp|bidir")
+	rate := fs.Float64("udp-mbps", 50, "offered UDP load per station")
+	dur := fs.Float64("dur", 15, "measured seconds")
+	warm := fs.Float64("warmup", 3, "warmup seconds")
+	seed := fs.Uint64("seed", 1, "random seed")
+	loss := fs.Float64("mpdu-loss", 0, "per-MPDU random loss probability")
+	slowWeight := fs.Float64("slow-weight", 0, "airtime weight of slow stations (weighted schemes only; 0 = default 1)")
+	amsdu := fs.Int("amsdu", 0, "A-MSDU bundle size in bytes (0 disables two-level aggregation)")
+	traceN := fs.Int("trace", 0, "dump the last N AP trace events")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	scheme, err := parseScheme(*schemeFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	ws, err := workloads(*trafficKind, *rate*1e6)
+	ws, err := workloads(*trafficKind, *rate)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	if *slowWeight != 0 {
+		if err := exp.CheckAirtimeWeight(*slowWeight); err != nil {
+			fmt.Fprintf(stderr, "-slow-weight %v\n", err)
+			return 2
+		}
 	}
 
 	var specs []exp.StationSpec
@@ -101,7 +121,7 @@ func main() {
 	for i := 0; i < *slow; i++ {
 		name := fmt.Sprintf("slow%d", i+1)
 		specs = append(specs, exp.StationSpec{Name: name, Rate: slowRate})
-		if *slowWeight > 0 {
+		if *slowWeight != 0 {
 			weights[name] = *slowWeight
 		}
 	}
@@ -148,12 +168,13 @@ func main() {
 			fmt.Sprintf("%.1f", rtt.Quantile(0.95)),
 		)
 	}
-	fmt.Printf("scheme=%s traffic=%s dur=%.0fs\n\n", scheme, *trafficKind, *dur)
-	fmt.Print(tbl.String())
-	fmt.Printf("\ntotal goodput: %.1f Mbps   Jain(airtime): %.3f   medium collisions: %d\n",
+	fmt.Fprintf(stdout, "scheme=%s traffic=%s dur=%.0fs\n\n", scheme, *trafficKind, *dur)
+	fmt.Fprint(stdout, tbl.String())
+	fmt.Fprintf(stdout, "\ntotal goodput: %.1f Mbps   Jain(airtime): %.3f   medium collisions: %d\n",
 		total, stats.JainIndex(rt.AirDeltas()), n.Env.Medium.Collisions)
 	if tl != nil {
-		fmt.Println()
-		fmt.Print(tl.Dump(*traceN))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, tl.Dump(*traceN))
 	}
+	return 0
 }

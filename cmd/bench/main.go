@@ -227,8 +227,10 @@ func main() {
 			name, sr.NsPerPkt, sr.AllocsPerPkt, sr.BytesPerPkt, sr.PoolReusePct, sr.AllocReductionPct)
 	}
 
-	// Pool-reuse floor: the pre-warmed pool should serve nearly every
-	// packet request from the free list on every scheme, not just FIFO.
+	// Pool-reuse floor: the demand-sized pool should serve nearly every
+	// packet request without a heap allocation (a free-list hit or a
+	// packet carved from an existing chunk) on every scheme, not just
+	// FIFO.
 	failed := false
 	for _, sr := range art.Schemes {
 		if *reuseFloor > 0 && sr.PoolReusePct < *reuseFloor {

@@ -11,7 +11,7 @@ import (
 type BenchCounters struct {
 	Packets     int64  // packets entering a MAC transmit path (all nodes)
 	PoolGets    int64  // packets handed out by the world's pool
-	PoolNews    int64  // pool gets that had to heap-allocate
+	PoolNews    int64  // heap allocations made by the pool (one per chunk)
 	LivePackets int64  // packets still held when the run stopped
 	Events      uint64 // simulator events executed
 	EventAllocs uint64 // events heap-allocated (vs recycled)
@@ -187,18 +187,18 @@ func NewDenseBenchWorld(cfg DenseBenchConfig) *DenseBenchWorld {
 		cell.Ping(cell.Stations[0], 0, cell.BSS+1)
 	}
 	w.Run(cfg.Warmup)
-	// Keep warming in half-second steps until the packet pool stops
-	// heap-growing, so the timed window measures the steady state rather
-	// than queue fill and its GC pressure.
+	// Keep warming in half-second steps until the packet pool's
+	// high-water mark stops growing, so the timed window measures the
+	// steady state rather than queue fill and its GC pressure.
 	pool := pkt.PoolOf(w.Sim)
-	prev := pool.Stats().News
+	prev := pool.Stats().Fresh
 	for i := 0; i < 60; i++ {
 		w.Run(w.Sim.Now() + 500*sim.Millisecond)
-		news := pool.Stats().News
-		if news-prev < 16 {
+		fresh := pool.Stats().Fresh
+		if fresh-prev < 16 {
 			break
 		}
-		prev = news
+		prev = fresh
 	}
 	return &DenseBenchWorld{
 		w: w, until: w.Sim.Now() + cfg.Duration,

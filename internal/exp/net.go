@@ -128,34 +128,6 @@ type World struct {
 	Stations []*Station
 
 	cellStart []int // Stations offset of each cell, plus a final sentinel
-	prewarmed int   // packets pre-sized into the pool so far (capped)
-}
-
-// poolPrewarmHorizon is the standing-queue horizon the packet pool is
-// pre-sized for when a CBR load attaches: an over-subscribed flow holds
-// on the order of a second of its offered packets queued before the AQM
-// and the global limit bite, and growing the free list one packet at a
-// time through that build-up is what cooled FQ-CoDel's pool reuse to 72%
-// against FIFO's 97% in BENCH_5.
-const poolPrewarmHorizon = 1 * sim.Second
-
-// poolPrewarmCap bounds the pre-sized packets per world; beyond the
-// qdisc global limit's order of magnitude a bigger slab is pure waste.
-const poolPrewarmCap = 1 << 14
-
-// prewarmFor pre-sizes the world's packet pool for a newly attached CBR
-// load of the given rate and datagram size.
-func (w *World) prewarmFor(rateBps float64, pktSize int) {
-	pps := rateBps / float64(8*pktSize)
-	n := int(pps * poolPrewarmHorizon.Seconds())
-	if w.prewarmed+n > poolPrewarmCap {
-		n = poolPrewarmCap - w.prewarmed
-	}
-	if n <= 0 {
-		return
-	}
-	w.prewarmed += n
-	pkt.PoolOf(w.Sim).Prewarm(n)
 }
 
 // BuildWorld assembles a testbed world. The single-BSS Stations form and
@@ -337,7 +309,6 @@ func (n *Net) UploadTCP(st *Station, ac pkt.AC) *tcp.Conn {
 // DownloadUDP starts a CBR UDP flood from the server to st and returns the
 // source and the station-side sink.
 func (n *Net) DownloadUDP(st *Station, rateBps float64, ac pkt.AC) (*traffic.UDPSource, *traffic.UDPSink) {
-	n.World.prewarmFor(rateBps, 1500) // traffic.UDPConfig's default datagram size
 	flow := n.Flow()
 	src := traffic.NewUDPSource(n.Server, traffic.UDPConfig{
 		Dst: st.Host.ID, Flow: flow, RateBps: rateBps, AC: ac,

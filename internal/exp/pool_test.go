@@ -102,3 +102,32 @@ func TestPoolNoLeakAtDrain(t *testing.T) {
 		})
 	}
 }
+
+// TestPoolDemandSized: the packet pool grows with the packets a world
+// actually holds, not with its offered load. A 150 Mbps-per-station UDP
+// flood under FIFO and FQ-CoDel holds less than one unused chunk, and
+// every live packet was carved on demand; a pool pre-sized for a second
+// of that load (16,384 packets) fails both.
+func TestPoolDemandSized(t *testing.T) {
+	for _, scheme := range []string{"FIFO", "FQ-CoDel"} {
+		t.Run(scheme, func(t *testing.T) {
+			inst, err := SpecUDP().Build(Params{"scheme": scheme, "rate-mbps": "150"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rt := inst.Execute(RunConfig{Seed: 3, Duration: sim.Second / 2})
+			st := pkt.PoolOf(rt.World().Sim).Stats()
+			if unused := st.News*pkt.ChunkPackets - st.Fresh; unused >= pkt.ChunkPackets {
+				t.Fatalf("%d chunks for a peak of %d live packets: %d never used",
+					st.News, st.Fresh, unused)
+			}
+			if st.Live() > st.Fresh {
+				t.Fatalf("%d packets live but only %d carved", st.Live(), st.Fresh)
+			}
+			if st.Fresh <= pkt.ChunkPackets {
+				t.Fatalf("peak of %d live packets fits one chunk; the load does not queue", st.Fresh)
+			}
+			t.Logf("%s: peak %d live packets in %d chunks", scheme, st.Fresh, st.News)
+		})
+	}
+}

@@ -52,6 +52,30 @@ func udpInstance(cfg UDPConfig) *Instance {
 	}
 }
 
+// CheckUDPRate reports whether a per-station CBR load of mbps megabits
+// per second can be simulated. The source ticks once per 1500-byte
+// datagram (its default size), and that period must be an in-range
+// sim.Time of at least 1 ns, which rules out zero, negative and NaN
+// rates too.
+func CheckUDPRate(mbps float64) error {
+	if _, ok := simDuration(traffic.CBRGapNs(1500, mbps*1e6)); !ok {
+		return fmt.Errorf("%v gives no simulable send interval", mbps)
+	}
+	return nil
+}
+
+// CheckAirtimeWeight reports whether w is a usable airtime weight. The
+// scheduler replenishes w × quantum of airtime per round; a quantum
+// under 1 ns (or past sim.Time) never lets the station's deficit turn
+// positive, so Next would spin. Zero, negative and NaN weights fail the
+// same test.
+func CheckAirtimeWeight(w float64) error {
+	if _, ok := simDuration(float64(airtime.DefaultQuantum) * w); !ok {
+		return fmt.Errorf("%v gives no simulable airtime quantum", w)
+	}
+	return nil
+}
+
 // SpecUDP is the declarative form of the experiment.
 func SpecUDP() *Spec {
 	return &Spec{
@@ -70,13 +94,8 @@ func SpecUDP() *Spec {
 			if err != nil {
 				return nil, err
 			}
-			if !(rate > 0) {
-				return nil, fmt.Errorf("rate-mbps must be positive, got %v", rate)
-			}
-			// The CBR source ticks once per 1500-byte datagram (its
-			// default size); the period must be a positive sim.Time.
-			if _, ok := simDuration(traffic.CBRGapNs(1500, rate*1e6)); !ok {
-				return nil, fmt.Errorf("rate-mbps %v gives no simulable send interval", rate)
+			if err := CheckUDPRate(rate); err != nil {
+				return nil, fmt.Errorf("rate-mbps %w", err)
 			}
 			return udpInstance(UDPConfig{Scheme: scheme, RateBps: rate * 1e6}), nil
 		},
@@ -99,14 +118,11 @@ func SpecWeightedUDP() *Spec {
 				return nil, err
 			}
 			w, err := p.Float("slow-weight")
-			if err != nil || !(w > 0) {
-				return nil, fmt.Errorf("bad slow-weight %q", p.Str("slow-weight"))
+			if err != nil {
+				return nil, err
 			}
-			// The scheduler replenishes weight × quantum of airtime per
-			// round; a quantum under 1 ns (or past sim.Time) never lets
-			// the station's deficit turn positive, so Next would spin.
-			if _, ok := simDuration(float64(airtime.DefaultQuantum) * w); !ok {
-				return nil, fmt.Errorf("slow-weight %v gives no simulable airtime quantum", w)
+			if err := CheckAirtimeWeight(w); err != nil {
+				return nil, fmt.Errorf("slow-weight %w", err)
 			}
 			inst := udpInstance(UDPConfig{
 				Scheme: scheme, RateBps: 50e6,

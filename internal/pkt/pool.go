@@ -22,13 +22,18 @@ func SetPooling(on bool) { poolingEnabled.Store(on) }
 // PoolingEnabled reports the current process-wide default.
 func PoolingEnabled() bool { return poolingEnabled.Load() }
 
+// ChunkPackets is how many packets the pool allocates at once when its
+// free list is empty (about 43 KB). A world thus holds at most one
+// partly used chunk beyond its peak number of live packets.
+const ChunkPackets = 256
+
 // PoolStats are a pool's lifetime counters.
 type PoolStats struct {
-	Gets      int64 // packets handed out
-	Puts      int64 // packets released
-	News      int64 // packets heap-allocated (Gets that missed the free list)
-	Headers   int64 // TCP headers heap-allocated
-	Prewarmed int64 // packets pre-sized into the free list before traffic
+	Gets    int64 // packets handed out
+	Puts    int64 // packets released
+	News    int64 // heap allocations: one per chunk (one per Get with pooling off)
+	Fresh   int64 // packets carved from a chunk, i.e. the high-water mark of Live
+	Headers int64 // TCP headers heap-allocated
 }
 
 // Live reports packets currently held by the simulation (handed out and
@@ -43,6 +48,7 @@ func (s PoolStats) Live() int64 { return s.Gets - s.Puts }
 // campaign runs each own a world and therefore a pool.
 type Pool struct {
 	free    *Packet    // intrusive free list through Packet.next
+	chunk   []Packet   // never-used packets of the current chunk
 	hfree   *TCPHeader // recycled TCP headers, linked through sackNext
 	stats   PoolStats
 	enabled bool
@@ -66,22 +72,32 @@ func PoolOf(s *sim.Sim) *Pool {
 // Stats returns the pool's counters.
 func (pl *Pool) Stats() PoolStats { return pl.stats }
 
-// Get returns a zero-valued packet, recycled when one is free. The
-// caller owns it until it hands it to another layer or releases it with
-// Put.
+// Get returns a zero-valued packet: a recycled one when one is free,
+// otherwise the next never-used packet of the current chunk, allocating
+// a new chunk when that runs out. The caller owns it until it hands it
+// to another layer or releases it with Put.
 func (pl *Pool) Get() *Packet {
 	pl.stats.Gets++
-	p := pl.free
-	if p == nil {
+	if p := pl.free; p != nil {
+		pl.free = p.next
+		hdr := p.TCP
+		*p = Packet{}
+		if hdr != nil {
+			pl.putHeader(hdr)
+		}
+		return p
+	}
+	if !pl.enabled {
 		pl.stats.News++
 		return &Packet{}
 	}
-	pl.free = p.next
-	hdr := p.TCP
-	*p = Packet{}
-	if hdr != nil {
-		pl.putHeader(hdr)
+	if len(pl.chunk) == 0 {
+		pl.chunk = make([]Packet, ChunkPackets)
+		pl.stats.News++
 	}
+	p := &pl.chunk[0]
+	pl.chunk = pl.chunk[1:]
+	pl.stats.Fresh++
 	return p
 }
 
@@ -103,24 +119,6 @@ func (pl *Pool) Put(p *Packet) {
 	p.pooled = true
 	p.next = pl.free
 	pl.free = p
-}
-
-// Prewarm grows the free list by n packets allocated as one contiguous
-// slab, so a world that can estimate its standing-queue depth up front
-// pays one allocation instead of n during queue build-up. A no-op when
-// pooling is disabled.
-func (pl *Pool) Prewarm(n int) {
-	if !pl.enabled || n <= 0 {
-		return
-	}
-	slab := make([]Packet, n)
-	for i := range slab {
-		p := &slab[i]
-		p.pooled = true
-		p.next = pl.free
-		pl.free = p
-	}
-	pl.stats.Prewarmed += int64(n)
 }
 
 // GetHeader returns a zero-valued TCP header with any recycled Sack

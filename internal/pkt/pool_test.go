@@ -1,6 +1,7 @@
 package pkt
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/sim"
@@ -58,6 +59,9 @@ func TestPoolRecyclesPackets(t *testing.T) {
 func TestPoolDoubleFreePanics(t *testing.T) {
 	pl := &Pool{enabled: true}
 	p := pl.Get()
+	if pl.Stats().Fresh != 1 {
+		t.Fatal("first Get did not carve from a chunk")
+	}
 	pl.Put(p)
 	defer func() {
 		if recover() == nil {
@@ -114,8 +118,12 @@ func TestPoolDisabledStillCounts(t *testing.T) {
 	if b == a {
 		t.Fatal("disabled pool recycled a packet")
 	}
+	// It never carves: one News per Get, no chunk, no Fresh.
+	if pl.chunk != nil {
+		t.Fatal("disabled pool allocated a chunk")
+	}
 	st := pl.Stats()
-	if st.Gets != 2 || st.Puts != 1 || st.Live() != 1 {
+	if st.Gets != 2 || st.Puts != 1 || st.Live() != 1 || st.News != 2 || st.Fresh != 0 {
 		t.Fatalf("disabled pool stats wrong: %+v", st)
 	}
 }
@@ -129,5 +137,85 @@ func TestPoolOfAttachesOnce(t *testing.T) {
 	}
 	if PoolOf(sim.New(2)) == a {
 		t.Fatal("distinct worlds share a pool")
+	}
+}
+
+func TestPoolPrefersFreeListOverChunk(t *testing.T) {
+	pl := &Pool{enabled: true}
+	a, b := pl.Get(), pl.Get()
+	pl.Put(a)
+	if c := pl.Get(); c != a {
+		t.Fatal("Get carved a new packet while one was free")
+	}
+	if len(pl.chunk) != ChunkPackets-2 {
+		t.Fatalf("chunk has %d unused packets, want %d", len(pl.chunk), ChunkPackets-2)
+	}
+	pl.Put(b)
+	if st := pl.Stats(); st.Fresh != 2 || st.News != 1 {
+		t.Fatalf("stats wrong: %+v", st)
+	}
+}
+
+func TestPoolCarvedPacketZeroAndQueueable(t *testing.T) {
+	pl := &Pool{enabled: true}
+	p := pl.Get()
+	if *p != (Packet{}) {
+		t.Fatalf("carved packet not zero-valued: %+v", *p)
+	}
+	// Not marked pooled, so it can be queued straight away.
+	var q Queue
+	q.Push(p)
+	if q.Pop() != p {
+		t.Fatal("carved packet did not queue")
+	}
+}
+
+func TestPoolNewsCountsChunks(t *testing.T) {
+	pl := &Pool{enabled: true}
+	for i := 0; i < ChunkPackets; i++ {
+		pl.Get()
+	}
+	if st := pl.Stats(); st.News != 1 || st.Fresh != ChunkPackets {
+		t.Fatalf("after one chunk's worth: %+v", st)
+	}
+	pl.Get()
+	if st := pl.Stats(); st.News != 2 || st.Fresh != ChunkPackets+1 {
+		t.Fatalf("after chunk+1: %+v", st)
+	}
+}
+
+// TestPoolFreshIsLiveHighWater: a packet is carved only when every
+// earlier one is live, so Fresh tracks the maximum of Live exactly.
+func TestPoolFreshIsLiveHighWater(t *testing.T) {
+	pl := &Pool{enabled: true}
+	rng := rand.New(rand.NewSource(15))
+	var held []*Packet
+	var peak int64
+	for i := 0; i < 20000; i++ {
+		// Drift the live count up and down across several chunks.
+		getBias := 0.55
+		if (i/4000)%2 == 1 {
+			getBias = 0.45
+		}
+		if len(held) == 0 || rng.Float64() < getBias {
+			held = append(held, pl.Get())
+		} else {
+			k := rng.Intn(len(held))
+			pl.Put(held[k])
+			held[k] = held[len(held)-1]
+			held = held[:len(held)-1]
+		}
+		st := pl.Stats()
+		peak = max(peak, st.Live())
+		if st.Fresh != peak {
+			t.Fatalf("step %d: Fresh %d, Live high-water %d", i, st.Fresh, peak)
+		}
+	}
+	st := pl.Stats()
+	if want := (peak + ChunkPackets - 1) / ChunkPackets; st.News != want {
+		t.Fatalf("News %d chunks for a high-water mark of %d, want %d", st.News, peak, want)
+	}
+	if peak < 2*ChunkPackets {
+		t.Fatalf("sequence peaked at %d live packets; it should span several chunks", peak)
 	}
 }
